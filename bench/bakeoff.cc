@@ -282,16 +282,9 @@ int main(int argc, char** argv) {
       out_dir.empty() ? std::filesystem::path{}
                       : std::filesystem::path(out_dir) / (spec.figure + ".json");
   runner::Json resume_doc;
-  if (flags.GetBool("resume") && !out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) options.resume = &resume_doc;
-    }
-  }
+  if (flags.GetBool("resume") && !out_dir.empty() &&
+      bench::LoadResumeFile(out_path, spec.figure, &resume_doc))
+    options.resume = &resume_doc;
 
   runner::GridRunSummary summary = runner::RunGrid(spec, options);
   runner::RunInfo info;

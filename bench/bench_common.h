@@ -176,6 +176,28 @@ inline std::string GitSha() {
   return sha != nullptr && sha[0] != '\0' ? sha : "unknown";
 }
 
+// Loads the --resume results file at `path` into `doc`. An absent file
+// resumes nothing (returns false). A file that cannot be read or parsed as
+// a results object exits the process with status 2 before any cell runs,
+// so a corrupt file is never silently re-run and overwritten.
+inline bool LoadResumeFile(const std::filesystem::path& path,
+                           const std::string& figure, runner::Json* doc) {
+  if (!std::filesystem::exists(path)) return false;
+  std::ifstream in(path);
+  std::string error = "cannot open file";
+  if (in) {
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    error.clear();
+    *doc = runner::Json::Parse(buf.str(), &error);
+    if (doc->is_object()) return true;
+    if (error.empty()) error = "not a results object";
+  }
+  std::cerr << "[" << figure << "] cannot resume from " << path << ": "
+            << error << "\n";
+  std::exit(2);
+}
+
 // Executes the grid on the runner and wraps the outcomes in a ResultsSink.
 // When --out is set, writes DIR/<figure>.json (and, with --resume, reuses
 // matching cells from a previous file at that path first).
@@ -191,21 +213,9 @@ inline runner::ResultsSink RunGridBench(const BenchEnv& env,
           ? std::filesystem::path{}
           : std::filesystem::path(env.out_dir) / (spec.figure + ".json");
   runner::Json resume_doc;
-  if (env.resume && !env.out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) {
-        options.resume = &resume_doc;
-      } else {
-        std::cerr << "[" << spec.figure << "] ignoring unreadable resume file "
-                  << out_path << ": " << error << "\n";
-      }
-    }
-  }
+  if (env.resume && !env.out_dir.empty() &&
+      LoadResumeFile(out_path, spec.figure, &resume_doc))
+    options.resume = &resume_doc;
 
   runner::GridRunSummary summary = runner::RunGrid(spec, options);
   runner::RunInfo info;

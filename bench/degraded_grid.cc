@@ -113,7 +113,7 @@ runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
   out.metrics["reentries_abandoned"] =
       static_cast<double>(r.reentries_abandoned);
   out.metrics["reentries_pending"] = static_cast<double>(r.reentries_pending);
-  out.metrics["wedged_leases"] = static_cast<double>(r.counters.wedged_leases);
+  out.metrics["wedged_leases"] = r.registry.at("chaos.wedged_leases");
   out.metrics["unrooted_members"] = static_cast<double>(r.unrooted_members);
   out.metrics["final_population"] = static_cast<double>(r.final_population);
   out.registry = reg.Flatten();
@@ -181,16 +181,9 @@ int main(int argc, char** argv) {
       out_dir.empty() ? std::filesystem::path{}
                       : std::filesystem::path(out_dir) / (spec.figure + ".json");
   runner::Json resume_doc;
-  if (flags.GetBool("resume") && !out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) options.resume = &resume_doc;
-    }
-  }
+  if (flags.GetBool("resume") && !out_dir.empty() &&
+      bench::LoadResumeFile(out_path, spec.figure, &resume_doc))
+    options.resume = &resume_doc;
 
   runner::GridRunSummary summary = runner::RunGrid(spec, options);
   runner::RunInfo info;

@@ -8,18 +8,14 @@
 // peak RSS, and calendar event-pool occupancy.
 //
 // Two columns per size:
-//   * "heap+apsp"          -- the seed hot path, as far as it is
-//                             runtime-selectable: QueueKind::kBinaryHeap,
-//                             the exact hierarchical delay oracle with
-//                             per-domain APSP tables and the flat validation
-//                             edge list, and the seed's O(population)
-//                             join-candidate sampling copy + O(members)
-//                             per-join dedup bitmap. Run only up to
-//                             --baseline-max members (default 10^5: at 10^6
-//                             the seed cost model pays an 8 MB population
-//                             copy per join -- terabytes of memcpy over a
-//                             churn run -- so raise the cap deliberately,
-//                             as the committed trajectory does).
+//   * "heap+apsp"          -- the queue and delay-oracle baseline:
+//                             QueueKind::kBinaryHeap plus the exact
+//                             hierarchical delay oracle with per-domain APSP
+//                             tables and the flat validation edge list. Run
+//                             only up to --baseline-max members (default
+//                             10^5: a 10^6 baseline cell runs for many
+//                             minutes, so raise the cap deliberately, as
+//                             the committed trajectory does).
 //   * "calendar+landmark"  -- QueueKind::kCalendar plus
 //                             DelayModel::kLandmark: the configuration that
 //                             fits 10^6 members in container memory.
@@ -32,10 +28,8 @@
 //                       [--baseline-max=100000] [--out=results]
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,9 +71,9 @@ runner::CellResult RunCell(const SweepOptions& opt,
   const bool optimized = cell.col == 1;
   runner::CellResult out;
   if (!optimized && size > opt.baseline_max) {
-    // Above the cap the seed cost model is deliberately not run (its
-    // per-join population copies make the cell take tens of minutes); the
-    // cell records itself as skipped rather than lying with zeros.
+    // Above the cap the baseline is deliberately not run (the cell would
+    // take many minutes); it records itself as skipped rather than lying
+    // with zeros.
     out.metrics["skipped"] = 1.0;
     return out;
   }
@@ -102,11 +96,6 @@ runner::CellResult RunCell(const SweepOptions& opt,
 
   overlay::SessionParams sp;
   sp.external_failure_detection = true;
-  // The baseline column reproduces the seed hot path wherever it is
-  // runtime-selectable: binary-heap queue, exact APSP oracle, and the
-  // O(population) by-value candidate-sampling copy. Identical variate
-  // sequence either way, so both columns still replay the same workload.
-  sp.seed_baseline_sampling = !optimized;
   overlay::Session session(sim, topo,
                            std::make_unique<proto::MinDepthProtocol>(), sp,
                            cell.seed);
@@ -195,16 +184,9 @@ int main(int argc, char** argv) {
           ? std::filesystem::path{}
           : std::filesystem::path(opt.out_dir) / (spec.figure + ".json");
   runner::Json resume_doc;
-  if (opt.resume && !opt.out_dir.empty()) {
-    std::ifstream in(out_path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      resume_doc = runner::Json::Parse(buf.str(), &error);
-      if (resume_doc.is_object()) options.resume = &resume_doc;
-    }
-  }
+  if (opt.resume && !opt.out_dir.empty() &&
+      bench::LoadResumeFile(out_path, spec.figure, &resume_doc))
+    options.resume = &resume_doc;
 
   runner::GridRunSummary summary = runner::RunGrid(spec, options);
   runner::RunInfo info;

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "exp/chaos.h"
 #include "net/topology.h"
@@ -50,6 +51,11 @@ exp::ChaosConfig BaseConfig(int members, std::uint64_t seed, bool quick) {
   c.mid_repair_kill_at_s = 15.0;
   if (quick) c.packet.packet_rate = 5.0;
   return c;
+}
+
+// A registry counter, formatted as an integer.
+std::string Count(const exp::ChaosResult& r, const char* name) {
+  return std::to_string(static_cast<long>(r.registry.at(name)));
 }
 
 }  // namespace
@@ -98,16 +104,20 @@ int main(int argc, char** argv) {
     }
     table.AddRow({util::FormatDouble(loss, 2),
                   util::FormatDouble(r.avg_starving_ratio, 4),
-                  util::FormatDouble(r.counters.mean_detection_latency_s, 2),
-                  std::to_string(r.counters.false_suspicions),
-                  std::to_string(r.counters.lock_timeouts),
-                  std::to_string(r.counters.stripe_failovers),
-                  std::to_string(r.counters.wedged_leases),
+                  util::FormatDouble(
+                      r.registry.at("chaos.mean_detection_latency_s"), 2),
+                  Count(r, "chaos.false_suspicions"),
+                  Count(r, "chaos.lock_timeouts"),
+                  Count(r, "chaos.stripe_failovers"),
+                  Count(r, "chaos.wedged_leases"),
                   std::to_string(r.unrooted_members)});
     if (!r.zero_wedged_locks || r.unrooted_members > 0) healthy = false;
     if (loss == 0.05) {
-      std::cout << "\nworst case (5% loss) counter detail:\n"
-                << metrics::FormatChaosCounters(r.counters) << "\n";
+      std::cout << "\nworst case (5% loss) counter detail:\n";
+      for (const auto& [name, value] : r.registry)
+        if (name.starts_with("chaos."))
+          std::cout << "  " << name << " " << value << "\n";
+      std::cout << "\n";
     }
   }
   table.Print(std::cout, "ROST+CER under control-plane chaos (domain kill + "

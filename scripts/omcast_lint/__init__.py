@@ -22,8 +22,9 @@ about, with:
     `--selftest`, run in CI and by ctest.
 
 Entry points: `python3 scripts/omcast-lint` (or `python3 -m omcast_lint`
-from scripts/), and `scripts/lint_determinism.py` as a compatibility shim
-for the original monolithic linter this package grew out of.
+from scripts/). The original monolithic linter this package grew out of
+is gone; its fixtures under `tests/lint_fixtures` still run through
+`--selftest`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Reproducibility rules: the original lint_determinism.py detectors, plus
+"""Reproducibility rules: the original determinism-linter detectors, plus
 the protocol-aware unordered-sink and seed-narrowing rules.
 
 Rationale recap: every figure comes from a deterministic seeded simulation,

@@ -1,14 +1,12 @@
 #include "exp/chaos.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "obs/incident.h"
+#include "exp/harness.h"
 #include "obs/registry.h"
 #include "obs/timeseries.h"
-#include "sim/simulator.h"
 #include "util/check.h"
 
 namespace omcast::exp {
@@ -17,10 +15,6 @@ using overlay::kNoNode;
 using overlay::NodeId;
 
 namespace {
-
-double ArrivalRate(int population) {
-  return static_cast<double>(population) / rnd::kMeanLifetimeSeconds;
-}
 
 // Kills every alive member hosted in `domain`. The victim list is collected
 // before the first kill: DepartNow mutates the alive list.
@@ -61,38 +55,83 @@ void KillBusiestParent(overlay::Session& session) {
   if (victim != kNoNode) session.DepartNow(victim);
 }
 
+// Snapshots the counters of whichever components the run used into `reg`
+// under "chaos.*" (plus the frame-playback "qoe.*" and the re-entry
+// "reconnect.*") names; a null component leaves its section absent. `now`
+// is needed to evaluate lease wedging.
+void CollectChaosRegistry(obs::Registry& reg, const overlay::Session& session,
+                          const sim::FaultPlane& fault_plane,
+                          const overlay::HeartbeatService* heartbeat,
+                          const core::RostProtocol* rost,
+                          const overlay::GossipService* gossip,
+                          const stream::PacketLevelStream& stream,
+                          sim::Time now) {
+  const auto count = [&reg](const char* name, long v) {
+    reg.Count(name, static_cast<double>(v));
+  };
+  count("chaos.messages_sent", fault_plane.messages_sent());
+  count("chaos.messages_dropped", fault_plane.messages_dropped());
+  count("chaos.messages_duplicated", fault_plane.messages_duplicated());
+  count("chaos.messages_delivered", fault_plane.messages_delivered());
+  if (heartbeat != nullptr) {
+    count("chaos.heartbeats_sent", heartbeat->heartbeats_sent());
+    count("chaos.detections", heartbeat->detections());
+    count("chaos.false_suspicions", heartbeat->false_suspicions());
+    reg.SetGauge("chaos.mean_detection_latency_s",
+                 heartbeat->detection_latency().count() > 0
+                     ? heartbeat->detection_latency().mean()
+                     : 0.0);
+  }
+  if (rost != nullptr) {
+    count("chaos.leases_granted", rost->leases_granted());
+    count("chaos.leases_released", rost->leases_released());
+    count("chaos.leases_expired", rost->leases_expired());
+    count("chaos.leases_outstanding", rost->leases_outstanding());
+    count("chaos.wedged_leases", rost->WedgedLeases(now));
+    count("chaos.lock_timeouts", rost->lock_timeouts());
+    count("chaos.lock_retries", rost->lock_retries());
+    count("chaos.handshake_aborts", rost->handshake_aborts());
+    count("chaos.preempt_joins", rost->preempt_joins());
+  }
+  if (gossip != nullptr)
+    count("chaos.stale_view_rejections", gossip->stale_rejections());
+  count("chaos.repairs_scheduled", stream.repairs_scheduled());
+  count("chaos.eln_sent", stream.eln_notifications_sent());
+  count("chaos.stripe_failovers", stream.stripe_failovers());
+  count("chaos.short_group_fallbacks", stream.short_group_fallbacks());
+  // Frame-playback QoE (all zero unless PacketSimParams.frame_playback):
+  // the degraded-regime scenario family's headline metrics.
+  count("qoe.decode_stalls", stream.decode_stalls());
+  count("qoe.regime_transitions", stream.regime_transitions());
+  count("qoe.dependency_resyncs", stream.dependency_resyncs());
+  count("qoe.permanently_stalled", stream.permanently_stalled());
+  reg.SetGauge("qoe.degraded_time_fraction",
+               stream.degraded_fraction_stat().count() > 0
+                   ? stream.degraded_fraction_stat().mean()
+                   : 0.0);
+  reg.SetGauge("qoe.mean_recovery_to_cadence_s",
+               stream.recovery_latency_stat().count() > 0
+                   ? stream.recovery_latency_stat().mean()
+                   : 0.0);
+  count("reconnect.scheduled", session.reentries_scheduled());
+  count("reconnect.attached", session.reentries_attached());
+  count("reconnect.abandoned", session.reentries_abandoned());
+  count("reconnect.pending", session.reentries_pending());
+}
+
 }  // namespace
 
 ChaosResult RunChaosScenario(const net::Topology& topology,
                              const ChaosConfig& config) {
-  sim::Simulator simulator(config.queue_kind);
-  std::unique_ptr<overlay::Protocol> protocol =
-      MakeProtocol(config.algorithm, config.rost, config.clique);
-  auto* rost = config.algorithm == Algorithm::kRost
-                   ? static_cast<core::RostProtocol*>(protocol.get())
-                   : nullptr;
-
   overlay::SessionParams sp = config.session;
   sp.external_failure_detection = config.use_heartbeats;
   // The packet simulator requires the rejoin delay to cover its detection
   // time; the harness keeps mismatched configs runnable.
   sp.rejoin_delay_s = std::max(sp.rejoin_delay_s, config.packet.detect_s);
 
-  overlay::Session session(simulator, topology, std::move(protocol), sp,
-                           config.seed);
-  // Incident analysis consumes the live event stream through a TraceSink;
-  // when the caller did not attach a tracer, a minimal run-local one feeds
-  // the sink (its single-slot ring is discarded -- only the stream matters).
-  obs::Tracer* tracer = config.tracer;
-  std::optional<obs::Tracer> local_tracer;
-  if (config.incident_analysis && tracer == nullptr) {
-    local_tracer.emplace(/*capacity=*/1);
-    tracer = &*local_tracer;
-  }
-  session.SetTracer(tracer);
-  obs::IncidentLog incident_log;
-  if (config.incident_analysis) tracer->AddSink(&incident_log);
-  simulator.SetProfiler(config.profiler);
+  ScenarioRun run(topology, config.algorithm, config, sp);
+  sim::Simulator& simulator = run.simulator();
+  overlay::Session& session = run.session();
   sim::FaultPlane fault_plane(simulator, config.fault,
                               config.seed ^ 0x9e3779b97f4a7c15ULL);
   session.protocol().SetFaultPlane(&fault_plane);
@@ -115,64 +154,43 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
 
   rnd::Rng chaos_rng(config.seed ^ 0xc4a05ULL);
   ChaosResult r;
-  // Built up-front so the recovery-curve sampler can write series into it
-  // while the run executes; the end-of-run chaos counter snapshot is merged
-  // in afterwards.
+  // The run's own registry: the recovery curves land in it while the run
+  // executes, the end-of-run counters after it.
   obs::Registry reg;
 
-  session.Prepopulate(config.population);
-  session.StartArrivals(ArrivalRate(config.population));
+  run.Start();
   simulator.RunUntil(config.warmup_s);
 
   const double t0 = simulator.now();
   stream.Start(config.stream_s);
 
-  // Recovery-curve sampler: one tick per window from stream start through
-  // the settle window's end; each tick stamps the window that just ended
-  // (its start time), so the curves line up on the absolute window grid
-  // regardless of t0.
-  std::function<void()> sample_tick;
-  long frames_late_seen = 0;
+  // Recovery curves from stream start through the settle window's end,
+  // with the stream's repair backlog, degraded-receiver fraction and
+  // late-frame rate on top of the session gauges.
   if (config.timeseries_window_s > 0.0) {
     const double w = config.timeseries_window_s;
-    const double ts_end = t0 + config.stream_s + config.drain_s +
-                          config.settle_s;
-    obs::TimeSeries& unrooted = reg.Series(
-        "recovery.unrooted_members", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& pending = reg.Series(
-        "recovery.reentries_pending", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& wedged = reg.Series(
-        "recovery.wedged_leases", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& backlog = reg.Series(
+    obs::TimeSeries* backlog = &reg.Series(
         "recovery.repair_backlog", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& degraded = reg.Series(
+    obs::TimeSeries* degraded = &reg.Series(
         "recovery.degraded_fraction", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& late = reg.Series(
+    obs::TimeSeries* late = &reg.Series(
         "recovery.frames_late", obs::TimeSeries::Kind::kCounterRate, w);
-    sample_tick = [&, w, ts_end] {
-      const double now = simulator.now();
-      const double wt = now - w;  // start of the window that just ended
-      long unrooted_n = 0;
-      for (NodeId id : session.alive_members())
-        if (!session.tree().IsRooted(id)) ++unrooted_n;
-      unrooted.Sample(wt, static_cast<double>(unrooted_n));
-      pending.Sample(wt, static_cast<double>(session.reentries_pending()));
-      wedged.Sample(
-          wt, static_cast<double>(session.protocol().WedgedLeases(now)));
-      backlog.Sample(
-          wt, static_cast<double>(stream.ActiveRepairServers().size()));
-      const auto alive = static_cast<double>(session.alive_count());
-      degraded.Sample(
-          wt, alive > 0.0
-                  ? static_cast<double>(stream.degraded_receivers()) / alive
-                  : 0.0);
-      late.AddDelta(
-          wt, static_cast<double>(stream.frames_late() - frames_late_seen));
-      frames_late_seen = stream.frames_late();
-      if (now + w <= ts_end + 1e-9)
-        simulator.ScheduleAfter(w, sample_tick, "chaos.timeseries");
-    };
-    simulator.ScheduleAt(t0 + w, sample_tick, "chaos.timeseries");
+    run.SampleRecovery(
+        reg, t0, t0 + config.stream_s + config.drain_s + config.settle_s,
+        "chaos.timeseries",
+        [&session, &stream, backlog, degraded, late,
+         frames_late_seen = 0L](double wt) mutable {
+          backlog->Sample(
+              wt, static_cast<double>(stream.ActiveRepairServers().size()));
+          const auto alive = static_cast<double>(session.alive_count());
+          degraded->Sample(
+              wt, alive > 0.0 ? static_cast<double>(
+                                    stream.degraded_receivers()) / alive
+                              : 0.0);
+          late->AddDelta(wt, static_cast<double>(stream.frames_late() -
+                                                 frames_late_seen));
+          frames_late_seen = stream.frames_late();
+        });
   }
 
   if (config.domain_kill_at_s >= 0.0) {
@@ -292,34 +310,10 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   }
 
   const sim::Time now = simulator.now();
-  reg.MergeFrom(metrics::CollectChaosRegistry(
-      &fault_plane, heartbeat ? &*heartbeat : nullptr, rost,
-      gossip ? &*gossip : nullptr, &stream, now));
-  // Re-entry counters live here rather than in the collector: the session
-  // object is not part of the CollectChaosRegistry signature.
-  reg.Count("reconnect.scheduled",
-            static_cast<double>(session.reentries_scheduled()));
-  reg.Count("reconnect.attached",
-            static_cast<double>(session.reentries_attached()));
-  reg.Count("reconnect.abandoned",
-            static_cast<double>(session.reentries_abandoned()));
-  reg.Count("reconnect.pending",
-            static_cast<double>(session.reentries_pending()));
-  // Protocol-agnostic counter export: "rost.*" lock traffic or "clique.*"
-  // election/recovery tallies, depending on the algorithm under test.
-  session.protocol().ExportCounters(reg);
-  if (config.incident_analysis) {
-    incident_log.Finalize(now);
-    incident_log.ExportTo(reg);
-    r.incidents = incident_log.FlatStats();
-    tracer->RemoveSink(&incident_log);
-  }
-  // Ring-eviction visibility only makes sense for a caller-attached tracer;
-  // the run-local incident feed intentionally retains nothing.
-  if (config.tracer != nullptr)
-    reg.Count("obs.trace.evicted",
-              static_cast<double>(config.tracer->dropped()));
-  r.counters = metrics::CountersFromRegistry(reg);
+  CollectChaosRegistry(reg, session, fault_plane,
+                       heartbeat ? &*heartbeat : nullptr, run.rost(),
+                       gossip ? &*gossip : nullptr, stream, now);
+  r.incidents = run.Finish(&reg);
   r.registry = reg.Flatten();
   if (config.registry != nullptr) config.registry->MergeFrom(reg);
   r.avg_starving_ratio = stream.ratio_stat().mean();

@@ -29,7 +29,6 @@
 #include <string>
 
 #include "exp/scenario.h"
-#include "metrics/chaos_counters.h"
 #include "overlay/gossip.h"
 #include "overlay/heartbeat.h"
 #include "sim/fault_plane.h"
@@ -37,9 +36,16 @@
 
 namespace omcast::exp {
 
-struct ChaosConfig {
-  int population = 200;       // steady-state size
-  double warmup_s = 600.0;    // equilibration before the stream starts
+// RunConfig plus the stream, fault-plane and injection knobs. Here
+// warmup_s is the equilibration before the stream starts, the recovery
+// curves span stream start through the end of the settle window, and the
+// runner sets session.external_failure_detection from use_heartbeats.
+struct ChaosConfig : RunConfig {
+  ChaosConfig() {
+    population = 200;
+    warmup_s = 600.0;
+  }
+
   double stream_s = 120.0;    // packet-level stream length
   // Settling time after the stream: in-flight leases expire or release,
   // orphans finish rejoining. Should exceed rost.lock_lease_s and the
@@ -50,12 +56,7 @@ struct ChaosConfig {
   // drain end get this long -- detection plus rejoin retries -- to recover;
   // only the ones still adrift afterwards count as failures.
   double settle_s = 30.0;
-  std::uint64_t seed = 1;
   Algorithm algorithm = Algorithm::kRost;
-  // Event-queue implementation for the run's simulator. Both kinds dispatch
-  // identically (the determinism tests pin cross-queue digest equality);
-  // exposed so chaos replay digests can be pinned under each.
-  sim::QueueKind queue_kind = sim::QueueKind::kCalendar;
 
   sim::FaultPlaneParams fault;  // loss/dup/jitter for every control message
 
@@ -103,38 +104,14 @@ struct ChaosConfig {
   double reconnect_storm_fraction = 0.0;
   double reconnect_downtime_mean_s = 5.0;
 
-  core::RostParams rost;            // algorithm == kRost
-  proto::CliqueParams clique;       // algorithm == kClique
-  overlay::SessionParams session;   // external_failure_detection is set
-                                    // from use_heartbeats by the runner
   stream::PacketSimParams packet;
-
-  // --- observability (obs/) -- all non-owning, null = off, each must
-  // outlive the run. See ScenarioConfig for semantics; the chaos runner
-  // additionally merges its end-of-run chaos counter snapshot into
-  // `registry`.
-  obs::Tracer* tracer = nullptr;
-  obs::Registry* registry = nullptr;
-  obs::SimProfiler* profiler = nullptr;
-
-  // Recovery-curve sampling: when > 0, the run records deterministic
-  // sim-time-windowed series (obs::TimeSeries, this window width) into the
-  // result registry under "chaos.*" -- unrooted members, pending
-  // re-entries, wedged leases, repair backlog, degraded-receiver fraction,
-  // and the late-frame rate -- sampled from stream start through the end of
-  // the settle window.
-  double timeseries_window_s = 0.0;
-  // Stitch the live trace stream into per-disruption recovery lifecycles
-  // (obs::IncidentLog): phase latencies land in the registry and
-  // ChaosResult::incidents. Uses `tracer` when set; otherwise a minimal
-  // run-local tracer feeds the analysis (its ring contents are discarded).
-  bool incident_analysis = false;
 };
 
 struct ChaosResult {
-  metrics::ChaosCounters counters;
-  // The same snapshot as a flattened registry (obs::Registry::Flatten()):
-  // the export path the runner writes into its per-cell JSON.
+  // The run's registry, flattened (obs::Registry::Flatten()): the "chaos.*"
+  // control-plane, heartbeat, lease and repair counters, "qoe.*",
+  // "reconnect.*", the protocol's own counters and the incident
+  // histograms. The runner writes it into its per-cell JSON.
   std::map<std::string, double> registry;
   // Per-disruption lifecycle stats (obs::IncidentLog::FlatStats): counts
   // and per-phase latency percentiles. Empty unless

@@ -1,18 +1,11 @@
 #include "exp/scenario.h"
 
-#include <functional>
-#include <optional>
-
+#include "exp/harness.h"
 #include "metrics/collectors.h"
-#include "obs/incident.h"
 #include "obs/registry.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "proto/longest_first.h"
 #include "proto/min_depth.h"
 #include "proto/relaxed_ordered.h"
-#include "rand/distributions.h"
-#include "sim/simulator.h"
 #include "util/check.h"
 
 namespace omcast::exp {
@@ -54,93 +47,22 @@ std::unique_ptr<overlay::Protocol> MakeProtocol(
   util::Fail("unknown algorithm");
 }
 
-namespace {
-
-double ArrivalRate(int population) {
-  return static_cast<double>(population) / rnd::kMeanLifetimeSeconds;
-}
-
-void AttachObservability(sim::Simulator& simulator, overlay::Session& session,
-                         const ScenarioConfig& config) {
-  session.SetTracer(config.tracer);
-  simulator.SetProfiler(config.profiler);
-}
-
-// End-of-run session-level counters shared by every scenario runner.
-void ExportSessionCounters(obs::Registry& reg, overlay::Session& session) {
-  reg.Count("session.total_members",
-            static_cast<double>(session.total_members_created()));
-  reg.Count("session.failed_join_attempts",
-            static_cast<double>(session.failed_join_attempts()));
-  reg.Count("session.dropped_arrivals",
-            static_cast<double>(session.dropped_arrivals()));
-  reg.SetGauge("session.final_population",
-               static_cast<double>(session.alive_count()));
-}
-
-}  // namespace
-
 TreeScenarioResult RunTreeScenario(const net::Topology& topology, Algorithm a,
                                    const ScenarioConfig& config) {
-  sim::Simulator simulator(config.queue_kind);
-  std::unique_ptr<overlay::Protocol> protocol =
-      MakeProtocol(a, config.rost, config.clique);
-  auto* rost = a == Algorithm::kRost
-                   ? static_cast<core::RostProtocol*>(protocol.get())
-                   : nullptr;
-  overlay::Session session(simulator, topology, std::move(protocol),
-                           config.session, config.seed);
-  // As in the chaos harness: incident analysis rides the live trace stream,
-  // and a run-local single-slot tracer feeds the sink when the caller did
-  // not attach one of its own.
-  obs::Tracer* tracer = config.tracer;
-  std::optional<obs::Tracer> local_tracer;
-  if (config.incident_analysis && tracer == nullptr) {
-    local_tracer.emplace(/*capacity=*/1);
-    tracer = &*local_tracer;
-  }
-  session.SetTracer(tracer);
-  simulator.SetProfiler(config.profiler);
-  obs::IncidentLog incident_log;
-  if (config.incident_analysis) tracer->AddSink(&incident_log);
-  metrics::MemberOutcomes outcomes(session);
-  metrics::TreeSnapshots snapshots(session, config.snapshot_interval_s);
+  ScenarioRun run(topology, a, config, config.session);
+  metrics::MemberOutcomes outcomes(run.session());
+  metrics::TreeSnapshots snapshots(run.session(), config.snapshot_interval_s);
 
   const double t_measure = config.warmup_s;
   const double t_end = config.warmup_s + config.measure_s;
   outcomes.SetWindow(t_measure, t_end);
   snapshots.Start(t_measure, t_end);
+  if (config.timeseries_window_s > 0.0 && config.registry != nullptr)
+    run.SampleRecovery(*config.registry, t_measure, t_end,
+                       "scenario.timeseries");
 
-  // Recovery-curve sampler over the measurement window (same names and
-  // window grid as the chaos harness, minus the stream-only gauges).
-  std::function<void()> sample_tick;
-  if (config.timeseries_window_s > 0.0 && config.registry != nullptr) {
-    const double w = config.timeseries_window_s;
-    obs::TimeSeries& unrooted = config.registry->Series(
-        "recovery.unrooted_members", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& pending = config.registry->Series(
-        "recovery.reentries_pending", obs::TimeSeries::Kind::kGauge, w);
-    obs::TimeSeries& wedged = config.registry->Series(
-        "recovery.wedged_leases", obs::TimeSeries::Kind::kGauge, w);
-    sample_tick = [&, w, t_end] {
-      const double now = simulator.now();
-      const double wt = now - w;  // start of the window that just ended
-      long unrooted_n = 0;
-      for (overlay::NodeId id : session.alive_members())
-        if (!session.tree().IsRooted(id)) ++unrooted_n;
-      unrooted.Sample(wt, static_cast<double>(unrooted_n));
-      pending.Sample(wt, static_cast<double>(session.reentries_pending()));
-      wedged.Sample(
-          wt, static_cast<double>(session.protocol().WedgedLeases(now)));
-      if (now + w <= t_end + 1e-9)
-        simulator.ScheduleAfter(w, sample_tick, "scenario.timeseries");
-    };
-    simulator.ScheduleAt(t_measure + w, sample_tick, "scenario.timeseries");
-  }
-
-  session.Prepopulate(config.population);
-  session.StartArrivals(ArrivalRate(config.population));
-  simulator.RunUntil(t_end);
+  run.Start();
+  run.simulator().RunUntil(t_end);
   outcomes.HarvestAliveMembers();
 
   TreeScenarioResult r;
@@ -153,25 +75,12 @@ TreeScenarioResult RunTreeScenario(const net::Topology& topology, Algorithm a,
   r.avg_population = snapshots.population().mean();
   r.qualifying_members = outcomes.qualifying_members();
   r.disruption_samples = outcomes.disruption_samples();
-  if (rost != nullptr) {
-    r.rost_switches = rost->switches_performed();
-    r.rost_lock_conflicts = rost->lock_conflicts();
+  if (run.rost() != nullptr) {
+    r.rost_switches = run.rost()->switches_performed();
+    r.rost_lock_conflicts = run.rost()->lock_conflicts();
   }
-  if (config.incident_analysis) {
-    incident_log.Finalize(simulator.now());
-    r.incidents = incident_log.FlatStats();
-    if (config.registry != nullptr) incident_log.ExportTo(*config.registry);
-    tracer->RemoveSink(&incident_log);
-  }
-  if (config.registry != nullptr) {
-    ExportSessionCounters(*config.registry, session);
-    session.protocol().ExportCounters(*config.registry);
-    // Ring-eviction visibility, caller-attached tracers only (the run-local
-    // incident feed intentionally retains nothing).
-    if (config.tracer != nullptr)
-      config.registry->Count("obs.trace.evicted",
-                             static_cast<double>(config.tracer->dropped()));
-  }
+  r.incidents = run.Finish(config.registry);
+  if (config.registry != nullptr) run.ExportSessionCounters(*config.registry);
   return r;
 }
 
@@ -179,20 +88,14 @@ StreamScenarioResult RunStreamScenario(const net::Topology& topology,
                                        Algorithm a,
                                        const ScenarioConfig& config,
                                        const stream::StreamParams& stream) {
-  sim::Simulator simulator(config.queue_kind);
-  overlay::Session session(simulator, topology,
-                           MakeProtocol(a, config.rost, config.clique),
-                           config.session, config.seed);
-  AttachObservability(simulator, session, config);
-  stream::StreamingLayer streaming(session, stream, config.seed ^ 0x5151);
+  ScenarioRun run(topology, a, config, config.session);
+  stream::StreamingLayer streaming(run.session(), stream,
+                                   config.seed ^ 0x5151);
+  streaming.SetMeasurementWindow(config.warmup_s,
+                                 config.warmup_s + config.measure_s);
 
-  const double t_measure = config.warmup_s;
-  const double t_end = config.warmup_s + config.measure_s;
-  streaming.SetMeasurementWindow(t_measure, t_end);
-
-  session.Prepopulate(config.population);
-  session.StartArrivals(ArrivalRate(config.population));
-  simulator.RunUntil(t_end);
+  run.Start();
+  run.simulator().RunUntil(config.warmup_s + config.measure_s);
 
   StreamScenarioResult r;
   r.avg_starving_ratio = streaming.ratio_stat().mean();
@@ -201,7 +104,7 @@ StreamScenarioResult RunStreamScenario(const net::Topology& topology,
   r.outages = streaming.outages_simulated();
   r.avg_recovery_rate = streaming.aggregate_rate_stat().mean();
   if (config.registry != nullptr) {
-    ExportSessionCounters(*config.registry, session);
+    run.ExportSessionCounters(*config.registry);
     config.registry->Count("stream.outages", static_cast<double>(r.outages));
   }
   return r;
@@ -211,22 +114,17 @@ TraceResult RunMemberTraceScenario(const net::Topology& topology, Algorithm a,
                                    const ScenarioConfig& config,
                                    double member_bandwidth,
                                    double member_lifetime_s, double trace_s) {
-  sim::Simulator simulator(config.queue_kind);
-  overlay::Session session(simulator, topology,
-                           MakeProtocol(a, config.rost, config.clique),
-                           config.session, config.seed);
-  AttachObservability(simulator, session, config);
-  metrics::MemberTrace trace(session, config.snapshot_interval_s);
+  ScenarioRun run(topology, a, config, config.session);
+  metrics::MemberTrace trace(run.session(), config.snapshot_interval_s);
 
-  session.Prepopulate(config.population);
-  session.StartArrivals(ArrivalRate(config.population));
-  simulator.RunUntil(config.warmup_s);
+  run.Start();
+  run.simulator().RunUntil(config.warmup_s);
 
   const overlay::NodeId tagged =
-      session.InjectMember(member_bandwidth, member_lifetime_s);
-  const double t0 = simulator.now();
+      run.session().InjectMember(member_bandwidth, member_lifetime_s);
+  const double t0 = run.simulator().now();
   trace.Track(tagged);
-  simulator.RunUntil(t0 + trace_s);
+  run.simulator().RunUntil(t0 + trace_s);
 
   TraceResult out;
   for (const auto& p : trace.disruption_series())

@@ -51,17 +51,16 @@ std::unique_ptr<overlay::Protocol> MakeProtocol(
     Algorithm a, const core::RostParams& rost,
     const proto::CliqueParams& clique = {});
 
-// Plain value type: runner cells copy one per cell and patch population /
-// seed, so scenario code must never stash pointers to a shared config.
-// The scenario runners below are thread-safe for concurrent calls *on
-// distinct configs and distinct seeds* -- each call builds its own
-// Simulator, Session, and RNG and only reads the (immutable) Topology.
-struct ScenarioConfig {
+// The fields every runner shares (ScenarioConfig and ChaosConfig derive
+// from it). Plain value type: runner cells copy one per cell and patch
+// population / seed, so scenario code must never stash pointers to a shared
+// config. The runners are thread-safe for concurrent calls *on distinct
+// configs and distinct seeds* -- each call builds its own Simulator,
+// Session, and RNG and only reads the (immutable) Topology.
+struct RunConfig {
   int population = 1000;          // steady-state size M
-  double warmup_s = 1800.0;       // structure equilibration before measuring
-  double measure_s = 3600.0;      // measurement window length
+  double warmup_s = 1800.0;       // equilibration before the measured phase
   std::uint64_t seed = 1;
-  double snapshot_interval_s = 300.0;
   core::RostParams rost;          // used when algorithm == kRost
   proto::CliqueParams clique;     // used when algorithm == kClique
   overlay::SessionParams session;
@@ -78,17 +77,23 @@ struct ScenarioConfig {
   obs::Registry* registry = nullptr;
   obs::SimProfiler* profiler = nullptr;
 
-  // Recovery-curve sampling (RunTreeScenario only): when > 0 and `registry`
-  // is set, the measurement window is sampled every `timeseries_window_s`
+  // Recovery-curve sampling (RunTreeScenario and RunChaosScenario): when
+  // > 0, the runner's measured phase is sampled every `timeseries_window_s`
   // seconds into "recovery.*" obs::TimeSeries gauges (unrooted members,
-  // pending re-entries, wedged leases) in the registry -- the same family
-  // the chaos harness records, so churn and chaos cells export uniformly.
+  // pending re-entries, wedged leases; the chaos runner adds its stream
+  // gauges) in the registry.
   double timeseries_window_s = 0.0;
   // Stitch the trace stream into per-disruption incident lifecycles
-  // (obs::IncidentLog -> TreeScenarioResult::incidents, plus registry
-  // histograms when `registry` is set). Uses `tracer` when set; otherwise a
-  // minimal run-local tracer feeds the analysis.
+  // (obs::IncidentLog -> the result's `incidents`, plus registry
+  // histograms). Uses `tracer` when set; otherwise a minimal run-local
+  // tracer feeds the analysis (its ring contents are discarded).
+  // RunTreeScenario and RunChaosScenario report it.
   bool incident_analysis = false;
+};
+
+struct ScenarioConfig : RunConfig {
+  double measure_s = 3600.0;      // measurement window length
+  double snapshot_interval_s = 300.0;
 };
 
 struct TreeScenarioResult {

@@ -2,10 +2,10 @@
 //
 // One Registry instance belongs to one simulation run (a runner grid cell, a
 // chaos scenario); it is the single export path for protocol counters --
-// the chaos resilience counters (metrics/chaos_counters.h is now a thin shim
-// over it) and the per-protocol message-cost tallies behind Fig. 10 -- and
-// its Flatten()ed snapshot lands in the runner's versioned JSON results
-// (schema version 2, per-cell "registry" object).
+// the chaos resilience counters ("chaos.*", read by name from
+// exp::ChaosResult::registry) and the per-protocol message-cost tallies
+// behind Fig. 10 -- and its Flatten()ed snapshot lands in the runner's
+// versioned JSON results (per-cell "registry" object).
 //
 // Everything is deterministic: std::map storage, fixed bucket bounds chosen
 // by the instrumentation site, and quantiles interpolated from the bucket

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -35,7 +37,8 @@ bool FlagSet::Parse(int argc, char** argv) {
       value = arg.substr(eq + 1);
     } else {
       name = arg;
-      if (i + 1 >= argc) {
+      // A following --flag is the next flag, not this one's value.
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
         std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
         PrintUsage(argv[0]);
         return false;
@@ -59,17 +62,48 @@ std::string FlagSet::GetString(const std::string& name) const {
   return it->second.value;
 }
 
+namespace {
+
+[[noreturn]] void FailValue(const std::string& name, const std::string& value,
+                            const char* want) {
+  Fail("flag --" + name + "='" + value + "' is not " + want);
+}
+
+// The whole of `s` as a base-10 int; false on empty, non-numeric,
+// trailing-garbage or out-of-range input.
+bool ParseInt(const std::string& s, int* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < INT_MIN || v > INT_MAX)
+    return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+}  // namespace
+
 int FlagSet::GetInt(const std::string& name) const {
-  return static_cast<int>(std::strtol(GetString(name).c_str(), nullptr, 10));
+  const std::string v = GetString(name);
+  int out = 0;
+  if (!ParseInt(v, &out)) FailValue(name, v, "an integer");
+  return out;
 }
 
 double FlagSet::GetDouble(const std::string& name) const {
-  return std::strtod(GetString(name).c_str(), nullptr);
+  const std::string v = GetString(name);
+  char* end = nullptr;
+  const double out = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0') FailValue(name, v, "a number");
+  return out;
 }
 
 bool FlagSet::GetBool(const std::string& name) const {
   const std::string v = GetString(name);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  FailValue(name, v, "a boolean (1/0, true/false, yes/no, on/off)");
 }
 
 std::vector<int> FlagSet::GetIntList(const std::string& name) const {
@@ -80,10 +114,13 @@ std::vector<int> FlagSet::GetIntList(const std::string& name) const {
     std::size_t comma = v.find(',', pos);
     if (comma == std::string::npos) comma = v.size();
     const std::string tok = v.substr(pos, comma - pos);
-    if (!tok.empty())
-      out.push_back(static_cast<int>(std::strtol(tok.c_str(), nullptr, 10)));
     pos = comma + 1;
+    if (tok.empty()) continue;
+    int n = 0;
+    if (!ParseInt(tok, &n)) FailValue(name, v, "a list of integers");
+    out.push_back(n);
   }
+  if (out.empty()) FailValue(name, v, "a list of integers");
   return out;
 }
 

@@ -1,6 +1,8 @@
 // Minimal command-line flag parser for the bench/example binaries.
-// Accepts `--name=value` and `--name value`; `--help` prints registered
-// flags. No global state: each binary builds one `FlagSet`.
+// Accepts `--name=value` and `--name value` (a following `--flag` is never
+// taken as a value); `--help` prints registered flags. Malformed values
+// fail loudly: the typed accessors abort rather than guess. No global
+// state: each binary builds one `FlagSet`.
 #pragma once
 
 #include <map>
@@ -17,16 +19,21 @@ class FlagSet {
                   const std::string& help);
 
   // Parses argv. Returns false (after printing usage) on unknown flags,
-  // missing values, or --help.
+  // missing values (`--x` last, or followed by another `--flag`), or
+  // --help.
   bool Parse(int argc, char** argv);
 
-  // Typed accessors; abort on unregistered names (programming error).
+  // Typed accessors; abort on unregistered names (programming error) and
+  // on values that are not wholly of the type: empty, non-numeric or
+  // trailing garbage ("5x"), or a bool outside 1/0, true/false, yes/no,
+  // on/off.
   std::string GetString(const std::string& name) const;
   int GetInt(const std::string& name) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 
-  // Parses a comma-separated list of integers, e.g. "2000,5000,8000".
+  // Parses a comma-separated list of integers, e.g. "2000,5000,8000";
+  // empty tokens are skipped, but the list must hold at least one integer.
   std::vector<int> GetIntList(const std::string& name) const;
 
   void PrintUsage(const std::string& program) const;

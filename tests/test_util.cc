@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "util/check.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -69,6 +71,69 @@ TEST(FlagSet, IntListSingleAndEmptyTokens) {
   const char* argv[] = {"prog", "--sizes=7,,9"};
   ASSERT_TRUE(f.Parse(2, const_cast<char**>(argv)));
   EXPECT_EQ(f.GetIntList("sizes"), (std::vector<int>{7, 9}));
+}
+
+TEST(FlagSet, RejectsFollowingFlagAsValue) {
+  // `--profile --threads=1` must not silently set profile="--threads=1".
+  FlagSet f;
+  f.Define("profile", "false", "").Define("threads", "0", "");
+  const char* argv[] = {"prog", "--profile", "--threads=1"};
+  EXPECT_FALSE(f.Parse(3, const_cast<char**>(argv)));
+}
+
+TEST(FlagSet, SpaceFormTakesNegativeNumbers) {
+  FlagSet f;
+  f.Define("warmup", "0", "").Define("seed", "1", "");
+  const char* argv[] = {"prog", "--warmup", "-1.5", "--seed", "-2"};
+  ASSERT_TRUE(f.Parse(5, const_cast<char**>(argv)));
+  EXPECT_DOUBLE_EQ(f.GetDouble("warmup"), -1.5);
+  EXPECT_EQ(f.GetInt("seed"), -2);
+}
+
+TEST(FlagSet, FalseBoolForms) {
+  FlagSet f;
+  f.Define("a", "no", "").Define("b", "off", "").Define("c", "false", "");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(f.Parse(1, const_cast<char**>(argv)));
+  EXPECT_FALSE(f.GetBool("a"));
+  EXPECT_FALSE(f.GetBool("b"));
+  EXPECT_FALSE(f.GetBool("c"));
+}
+
+// Malformed values abort instead of parsing as a prefix, 0 or false.
+FlagSet ParsedWith(const char* value) {
+  FlagSet f;
+  f.Define("v", "0", "");
+  const std::string arg = std::string("--v=") + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  Check(f.Parse(2, const_cast<char**>(argv)), "flag must parse");
+  return f;
+}
+
+TEST(FlagSetDeathTest, GetBoolRejectsUnknownWord) {
+  EXPECT_DEATH(ParsedWith("maybe").GetBool("v"), "--v='maybe'");
+  EXPECT_DEATH(ParsedWith("").GetBool("v"), "not a boolean");
+}
+
+TEST(FlagSetDeathTest, GetIntRejectsMalformed) {
+  EXPECT_DEATH(ParsedWith("").GetInt("v"), "not an integer");
+  EXPECT_DEATH(ParsedWith("abc").GetInt("v"), "not an integer");
+  EXPECT_DEATH(ParsedWith("12abc").GetInt("v"), "not an integer");
+  EXPECT_DEATH(ParsedWith("1.5").GetInt("v"), "not an integer");
+  EXPECT_DEATH(ParsedWith("99999999999").GetInt("v"), "not an integer");
+}
+
+TEST(FlagSetDeathTest, GetDoubleRejectsMalformed) {
+  EXPECT_DEATH(ParsedWith("").GetDouble("v"), "not a number");
+  EXPECT_DEATH(ParsedWith("fast").GetDouble("v"), "not a number");
+  EXPECT_DEATH(ParsedWith("600s").GetDouble("v"), "not a number");
+}
+
+TEST(FlagSetDeathTest, GetIntListRejectsMalformed) {
+  EXPECT_DEATH(ParsedWith("").GetIntList("v"), "not a list of integers");
+  EXPECT_DEATH(ParsedWith("500,1k").GetIntList("v"), "not a list of integers");
+  EXPECT_DEATH(ParsedWith("500;1000").GetIntList("v"),
+               "not a list of integers");
 }
 
 TEST(Table, AlignsColumns) {
