@@ -185,9 +185,10 @@ runner::CellResult RunChaosCell(const GridOptions& opt,
 
   runner::CellResult out;
   out.metrics["starving_ratio"] = r.avg_starving_ratio;
-  out.metrics["degraded_time_fraction"] = r.degraded_time_fraction;
-  out.metrics["mean_recovery_to_cadence_s"] = r.mean_recovery_to_cadence_s;
-  out.metrics["decode_stalls"] = static_cast<double>(r.decode_stalls);
+  for (const std::string name :
+       {"degraded_time_fraction", "mean_recovery_to_cadence_s",
+        "decode_stalls"})
+    out.metrics[name] = r.registry.at("qoe." + name);
   out.metrics["control_overhead"] = ControlOverhead(reg, a);
   out.metrics["wedged_leases"] = r.zero_wedged_locks ? 0.0 : 1.0;
   out.metrics["reentries_pending"] = static_cast<double>(r.reentries_pending);

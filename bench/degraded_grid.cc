@@ -95,23 +95,18 @@ runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
   const exp::ChaosResult r = exp::RunChaosScenario(topo, c);
 
   runner::CellResult out;
-  out.metrics["degraded_time_fraction"] = r.degraded_time_fraction;
-  out.metrics["mean_recovery_to_cadence_s"] = r.mean_recovery_to_cadence_s;
-  out.metrics["decode_stalls"] = static_cast<double>(r.decode_stalls);
-  out.metrics["regime_transitions"] = static_cast<double>(r.regime_transitions);
-  out.metrics["dependency_resyncs"] = static_cast<double>(r.dependency_resyncs);
-  out.metrics["permanently_stalled"] =
-      static_cast<double>(r.permanently_stalled);
+  for (const std::string name :
+       {"degraded_time_fraction", "mean_recovery_to_cadence_s",
+        "decode_stalls", "regime_transitions", "dependency_resyncs",
+        "permanently_stalled"})
+    out.metrics[name] = r.registry.at("qoe." + name);
+  for (const std::string name : {"scheduled", "attached", "abandoned"})
+    out.metrics["reentries_" + name] = r.registry.at("reconnect." + name);
   out.metrics["starving_ratio"] = r.avg_starving_ratio;
   out.metrics["join_storm_injected"] = static_cast<double>(r.join_storm_injected);
   out.metrics["episodes_started"] = static_cast<double>(r.episodes_started);
   out.metrics["reconnect_storm_killed"] =
       static_cast<double>(r.reconnect_storm_killed);
-  out.metrics["reentries_scheduled"] =
-      static_cast<double>(r.reentries_scheduled);
-  out.metrics["reentries_attached"] = static_cast<double>(r.reentries_attached);
-  out.metrics["reentries_abandoned"] =
-      static_cast<double>(r.reentries_abandoned);
   out.metrics["reentries_pending"] = static_cast<double>(r.reentries_pending);
   out.metrics["wedged_leases"] = r.registry.at("chaos.wedged_leases");
   out.metrics["unrooted_members"] = static_cast<double>(r.unrooted_members);

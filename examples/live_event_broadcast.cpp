@@ -51,29 +51,33 @@ RunResult RunScheme(const net::Topology& topology, exp::Algorithm algorithm,
   session.StartArrivals(base_rate);
 
   RunResult result;
-  auto snapshot = [&](PhaseStats& phase, double begin) {
+  std::size_t phase_begin = 0;  // first ratio sample of the current phase
+  auto snapshot = [&](PhaseStats& phase) {
     util::RunningStat delay;
     for (overlay::NodeId id : session.alive_members())
       if (session.tree().IsRooted(id)) delay.Add(session.OverlayDelayMs(id));
     phase.avg_delay_ms = delay.mean();
     phase.population = session.alive_count();
-    // Starving ratio accumulated since `begin` is approximated by the
-    // overall window mean (the layer reports a running average).
-    (void)begin;
-    phase.starving_pct = 100.0 * streaming.ratio_stat().mean();
+    // Starving ratio of the viewers who left during this phase.
+    const std::vector<double>& samples = streaming.ratio_samples();
+    util::RunningStat starving;
+    for (std::size_t i = phase_begin; i < samples.size(); ++i)
+      starving.Add(samples[i]);
+    phase_begin = samples.size();
+    phase.starving_pct = 100.0 * starving.mean();
   };
 
   sim.RunUntil(1800.0);  // steady state
-  snapshot(result.steady, 0.0);
+  snapshot(result.steady);
   // Flash crowd: 4x arrivals for 10 minutes.
   session.StopArrivals();
   session.StartArrivals(4.0 * base_rate);
   sim.RunUntil(2400.0);
   session.StopArrivals();
   session.StartArrivals(base_rate);
-  snapshot(result.crowd, 1800.0);
+  snapshot(result.crowd);
   sim.RunUntil(4200.0);  // recovery / drain back toward steady state
-  snapshot(result.after, 2400.0);
+  snapshot(result.after);
   return result;
 }
 

@@ -5,8 +5,11 @@
 //   ./examples/scenario_cli --algorithm=relaxed-bo --stream=1 --format=csv
 //
 // Useful for parameter exploration beyond the fixed figure benches.
+#include <initializer_list>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "exp/scenario.h"
 #include "metrics/collectors.h"
@@ -20,22 +23,18 @@ namespace {
 
 using namespace omcast;
 
-exp::Algorithm ParseAlgorithm(const std::string& name) {
-  if (name == "min-depth") return exp::Algorithm::kMinDepth;
-  if (name == "longest-first") return exp::Algorithm::kLongestFirst;
-  if (name == "relaxed-bo") return exp::Algorithm::kRelaxedBo;
-  if (name == "relaxed-to") return exp::Algorithm::kRelaxedTo;
-  if (name == "rost") return exp::Algorithm::kRost;
-  std::cerr << "unknown algorithm '" << name
-            << "' (min-depth|longest-first|relaxed-bo|relaxed-to|rost)\n";
-  std::exit(1);
-}
-
-net::TopologyParams ParseTopology(const std::string& name) {
-  if (name == "paper") return net::PaperTopologyParams();
-  if (name == "small") return net::SmallTopologyParams();
-  if (name == "tiny") return net::TinyTopologyParams();
-  std::cerr << "unknown topology '" << name << "' (paper|small|tiny)\n";
+// Maps --`flag`'s value to its choice; an unknown value names the valid
+// ones and exits 1.
+template <typename T>
+T ParseChoice(const util::FlagSet& flags, const std::string& flag,
+              std::initializer_list<std::pair<const char*, T>> choices) {
+  const std::string value = flags.GetString(flag);
+  std::string valid;
+  for (const auto& [name, choice] : choices) {
+    if (value == name) return choice;
+    valid += (valid.empty() ? "" : "|") + std::string(name);
+  }
+  std::cerr << "unknown " << flag << " '" << value << "' (" << valid << ")\n";
   std::exit(1);
 }
 
@@ -60,10 +59,30 @@ int main(int argc, char** argv) {
       .Define("format", "table", "table|csv");
   if (!flags.Parse(argc, argv)) return 1;
 
-  const exp::Algorithm algorithm = ParseAlgorithm(flags.GetString("algorithm"));
+  const auto algorithm = ParseChoice<exp::Algorithm>(
+      flags, "algorithm",
+      {{"min-depth", exp::Algorithm::kMinDepth},
+       {"longest-first", exp::Algorithm::kLongestFirst},
+       {"relaxed-bo", exp::Algorithm::kRelaxedBo},
+       {"relaxed-to", exp::Algorithm::kRelaxedTo},
+       {"rost", exp::Algorithm::kRost}});
+  const auto topology_params = ParseChoice<net::TopologyParams>(
+      flags, "topology",
+      {{"paper", net::PaperTopologyParams()},
+       {"small", net::SmallTopologyParams()},
+       {"tiny", net::TinyTopologyParams()}});
+  const auto selection = ParseChoice<core::GroupSelection>(
+      flags, "selection",
+      {{"mlc", core::GroupSelection::kMlc},
+       {"random", core::GroupSelection::kRandom}});
+  const auto mode = ParseChoice<core::RecoveryMode>(
+      flags, "mode",
+      {{"coop", core::RecoveryMode::kCooperative},
+       {"single", core::RecoveryMode::kSingleSource}});
+  const bool csv =
+      ParseChoice<bool>(flags, "format", {{"table", false}, {"csv", true}});
   rnd::Rng topo_rng(static_cast<std::uint64_t>(flags.GetInt("seed")) ^ 0x70706fULL);
-  const net::Topology topology =
-      net::Topology::Generate(ParseTopology(flags.GetString("topology")), topo_rng);
+  const net::Topology topology = net::Topology::Generate(topology_params, topo_rng);
 
   core::RostParams rost;
   rost.switching_interval_s = flags.GetDouble("rost-interval");
@@ -84,12 +103,8 @@ int main(int argc, char** argv) {
     stream::StreamParams sp;
     sp.recovery_group_size = flags.GetInt("group");
     sp.buffer_s = flags.GetDouble("buffer");
-    sp.selection = flags.GetString("selection") == "random"
-                       ? core::GroupSelection::kRandom
-                       : core::GroupSelection::kMlc;
-    sp.mode = flags.GetString("mode") == "single"
-                  ? core::RecoveryMode::kSingleSource
-                  : core::RecoveryMode::kCooperative;
+    sp.selection = selection;
+    sp.mode = mode;
     streaming = std::make_unique<stream::StreamingLayer>(session, sp, 0x57BEA);
   }
 
@@ -109,7 +124,7 @@ int main(int argc, char** argv) {
 
   const double starving =
       streaming ? 100.0 * streaming->ratio_stat().mean() : 0.0;
-  if (flags.GetString("format") == "csv") {
+  if (csv) {
     std::cout << "algorithm,population,disruptions,reconnections,delay_ms,"
                  "stretch,depth,starving_pct\n"
               << flags.GetString("algorithm") << ',' << population << ','

@@ -11,6 +11,28 @@ namespace omcast::core {
 using overlay::NodeId;
 using overlay::Session;
 
+void ValidateRepairParams(const RepairParams& params) {
+  util::Check(params.packet_rate > 0.0, "packet rate must be positive");
+  util::Check(params.buffer_s > 0.0, "playback buffer must be positive");
+  util::Check(params.detect_s >= 0.0, "detection time cannot be negative");
+  util::Check(params.recovery_group_size >= 1,
+              "recovery group needs at least one member");
+  util::Check(params.residual_lo_pkts >= 0.0,
+              "residual bandwidth cannot be negative");
+  util::Check(params.residual_hi_pkts >= params.residual_lo_pkts,
+              "residual bandwidth range must be ordered");
+}
+
+double ResidualBandwidth::Fraction(NodeId id, rnd::Rng& rng) {
+  if (fraction_.size() <= static_cast<std::size_t>(id))
+    fraction_.resize(static_cast<std::size_t>(id) + 1, -1.0);
+  double& f = fraction_[static_cast<std::size_t>(id)];
+  if (f < 0.0)
+    f = rng.Uniform(params_.residual_lo_pkts, params_.residual_hi_pkts) /
+        params_.packet_rate;
+  return f;
+}
+
 namespace {
 
 // Deep-tier consistency audit of a selected recovery group: the repair
@@ -75,6 +97,22 @@ std::vector<NodeId> SelectRecoveryGroup(Session& session, NodeId requester,
   });
   AuditRecoveryGroup(session, requester, k, group);
   return group;
+}
+
+std::vector<ChainHop> BuildRecoveryChain(const Session& session, NodeId orphan,
+                                         NodeId failed,
+                                         const std::vector<NodeId>& group) {
+  const overlay::Tree& tree = session.tree();
+  std::vector<ChainHop> chain;
+  chain.reserve(group.size());
+  NodeId prev = orphan;
+  for (NodeId g : group) {
+    const bool usable = tree.Alive(g) && tree.InTree(g) &&
+                        !tree.IsInSubtreeOf(g, failed) && tree.IsRooted(g);
+    chain.push_back({g, usable, session.DelayMs(prev, g) / 1000.0});
+    prev = g;
+  }
+  return chain;
 }
 
 }  // namespace omcast::core

@@ -322,19 +322,6 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   r.zero_wedged_locks = session.protocol().WedgedLeases(now) == 0;
   r.final_population = session.alive_count();
   r.episodes_started = fault_plane.episodes_started();
-  r.degraded_time_fraction = stream.degraded_fraction_stat().count() > 0
-                                 ? stream.degraded_fraction_stat().mean()
-                                 : 0.0;
-  r.mean_recovery_to_cadence_s = stream.recovery_latency_stat().count() > 0
-                                     ? stream.recovery_latency_stat().mean()
-                                     : 0.0;
-  r.decode_stalls = stream.decode_stalls();
-  r.regime_transitions = stream.regime_transitions();
-  r.dependency_resyncs = stream.dependency_resyncs();
-  r.permanently_stalled = stream.permanently_stalled();
-  r.reentries_scheduled = session.reentries_scheduled();
-  r.reentries_attached = session.reentries_attached();
-  r.reentries_abandoned = session.reentries_abandoned();
   r.reentries_pending = session.reentries_pending();
   return r;
 }

@@ -132,23 +132,12 @@ struct ChaosResult {
   long episodes_started = 0;
   int reconnect_storm_killed = 0;
 
-  // --- degraded-regime QoE (zero unless packet.frame_playback) -------------
-  // Mean fraction of finalized members' viewing time spent degraded or
-  // stalled; the scenario family's headline metric.
-  double degraded_time_fraction = 0.0;
-  // Mean completed-episode latency from leaving nominal cadence to
-  // regaining it.
-  double mean_recovery_to_cadence_s = 0.0;
-  long decode_stalls = 0;
-  long regime_transitions = 0;
-  long dependency_resyncs = 0;
-  int permanently_stalled = 0;
+  // The frame-playback QoE ("qoe.degraded_time_fraction",
+  // "qoe.decode_stalls", ...) and re-entry ("reconnect.*") outcomes are
+  // read from `registry` by name.
 
-  // --- re-entry state machine ----------------------------------------------
-  long reentries_scheduled = 0;
-  long reentries_attached = 0;
-  long reentries_abandoned = 0;
-  // Must be zero after the settle window: every re-entry resolved.
+  // Re-entries neither attached nor abandoned; must be zero after the
+  // settle window (also "reconnect.pending").
   long reentries_pending = 0;
 
   // --- post-drain health ---------------------------------------------------

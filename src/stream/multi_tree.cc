@@ -7,10 +7,15 @@
 
 namespace omcast::stream {
 
-using overlay::kNoNode;
-using overlay::Member;
 using overlay::NodeId;
 using overlay::Session;
+
+namespace {
+
+// The CER repair and outage timing of every description tree.
+const StreamParams kRepair{};
+
+}  // namespace
 
 MultiTreeStream::MultiTreeStream(sim::Simulator& simulator,
                                  const net::Topology& topology,
@@ -22,7 +27,8 @@ MultiTreeStream::MultiTreeStream(sim::Simulator& simulator,
       lifetime_dist_(rnd::PaperLifetimeDist()) {
   util::Check(params_.trees >= 1, "need at least one tree");
   node_to_member_.resize(static_cast<std::size_t>(params_.trees));
-  residual_fraction_.resize(static_cast<std::size_t>(params_.trees));
+  residual_.assign(static_cast<std::size_t>(params_.trees),
+                   core::ResidualBandwidth(kRepair));
   for (int k = 0; k < params_.trees; ++k) {
     overlay::SessionParams sp;
     // Each member relays each 1/K-rate description with a 1/K uplink share,
@@ -40,33 +46,15 @@ MultiTreeStream::MultiTreeStream(sim::Simulator& simulator,
       const double now = sim_.now();
       for (const NodeId orphan : session->tree().ChildrenOf(failed)) {
         double begin = now;
-        double end = now + params_.detect_s + params_.rejoin_s;
+        double end = now + kRepair.detect_s + kRepair.rejoin_s;
         if (params_.cer_recovery) {
           // Shorten the outage to the stall CER cannot repair; the residual
-          // stall bites around the playback deadline of the hole.
-          std::vector<NodeId> group = core::SelectRecoveryGroup(
-              *session, orphan, params_.recovery_group,
-              core::GroupSelection::kMlc);
-          core::OutageSpec spec;
-          spec.detect_s = params_.detect_s;
-          spec.rejoin_s = params_.rejoin_s;
-          spec.buffer_s = params_.buffer_s;
-          spec.packet_rate = params_.packet_rate;
-          spec.mode = core::RecoveryMode::kCooperative;
-          NodeId prev = orphan;
-          for (NodeId g : group) {
-            core::RecoverySource src;
-            src.usable = session->tree().Alive(g) &&
-                         session->tree().InTree(g) &&
-                         !session->tree().IsInSubtreeOf(g, failed) &&
-                         session->tree().IsRooted(g);
-            src.rate_fraction = src.usable ? ResidualFraction(tree, g) : 0.0;
-            src.hop_latency_s = session->DelayMs(prev, g) / 1000.0;
-            spec.chain.push_back(src);
-            prev = g;
-          }
-          const core::OutageResult outage = core::SimulateOutage(spec);
-          begin = now + params_.buffer_s;
+          // stall bites around the playback deadline of the hole. Residual
+          // bandwidths draw from the arrival process's RNG.
+          const core::OutageResult outage = SimulateOrphanOutage(
+              *session, orphan, failed, kRepair,
+              residual_[static_cast<std::size_t>(tree)], rng_);
+          begin = now + kRepair.buffer_s;
           end = begin + outage.starving_s;
         }
         if (end <= begin) continue;
@@ -77,17 +65,6 @@ MultiTreeStream::MultiTreeStream(sim::Simulator& simulator,
       }
     });
   }
-}
-
-double MultiTreeStream::ResidualFraction(int tree, NodeId id) {
-  auto& per_tree = residual_fraction_[static_cast<std::size_t>(tree)];
-  if (per_tree.size() <= static_cast<std::size_t>(id))
-    per_tree.resize(static_cast<std::size_t>(id) + 1, -1.0);
-  double& f = per_tree[static_cast<std::size_t>(id)];
-  if (f < 0.0)
-    f = rng_.Uniform(params_.residual_lo_pkts, params_.residual_hi_pkts) /
-        params_.packet_rate;
-  return f;
 }
 
 void MultiTreeStream::RecordOutage(int tree, NodeId session_node, double begin,
@@ -146,7 +123,7 @@ std::vector<MultiTreeStream::Interval> MergeClip(
 void MultiTreeStream::Finalize(double begin_s, double end_s) {
   util::Check(begin_s < end_s, "empty measurement window");
   for (const MemberRecord& rec : members_) {
-    const double lo = std::max(rec.join + params_.buffer_s, begin_s);
+    const double lo = std::max(rec.join + kRepair.buffer_s, begin_s);
     const double hi = std::min(rec.depart, end_s);
     const double view = hi - lo;
     if (view <= 0.0) continue;

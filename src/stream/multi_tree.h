@@ -19,38 +19,32 @@
 //
 // With K = 1 the same accounting measures the single-tree baseline, and
 // `cer_recovery = true` shortens each outage interval to the portion CER's
-// striped repair cannot cover (via core::SimulateOutage), so
-// redundancy-vs-recovery is compared under one metric. See
-// bench/ext_multi_tree.
+// striped repair cannot cover (StreamingLayer's SimulateOrphanOutage), so
+// redundancy-vs-recovery is compared under one metric: this is the
+// outage model with intervals. See bench/ext_multi_tree.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "core/cer/group.h"
-#include "core/cer/recovery.h"
 #include "net/topology.h"
 #include "overlay/session.h"
 #include "rand/distributions.h"
 #include "rand/rng.h"
 #include "sim/simulator.h"
+#include "stream/streaming.h"
 #include "util/stats.h"
 
 namespace omcast::stream {
 
+// The repair and outage knobs (detection, rejoin, buffer, rate, CER group)
+// are the StreamParams{} defaults, shared with StreamingLayer.
 struct MultiTreeParams {
-  int trees = 2;              // K descriptions
-  double detect_s = 5.0;      // failure detection per tree
-  double rejoin_s = 10.0;     // parent re-finding per tree
-  double buffer_s = 5.0;      // playback buffer (for CER deadline math)
-  double packet_rate = 10.0;  // full-stream packet rate
-  // Repair the outage with CER (group of `recovery_group` peers, striped).
+  int trees = 2;  // K descriptions
+  // Repair the outage with CER (StreamParams{} group of 3, MLC, striped).
   // Typically used with trees == 1 to model the paper's scheme.
   bool cer_recovery = false;
-  int recovery_group = 3;
-  double residual_lo_pkts = 0.0;
-  double residual_hi_pkts = 9.0;
   // Per-tree overlay protocol factory (called once per description tree);
   // null selects MinDepthProtocol. Routed through the protocol-agnostic
   // overlay::Protocol seam so bench/ext_multi_tree can pit any algorithm's
@@ -98,7 +92,6 @@ class MultiTreeStream {
   void Arrive();
   void RecordOutage(int tree, overlay::NodeId session_node, double begin,
                     double end);
-  double ResidualFraction(int tree, overlay::NodeId id);
 
   sim::Simulator& sim_;
   MultiTreeParams params_;
@@ -110,7 +103,7 @@ class MultiTreeStream {
   // assigned in lockstep across the mirrored sessions).
   std::vector<std::vector<int>> node_to_member_;
   std::vector<MemberRecord> members_;
-  std::vector<std::vector<double>> residual_fraction_;  // per tree
+  std::vector<core::ResidualBandwidth> residual_;  // per tree
   util::RunningStat stall_;
   util::RunningStat degraded_;
   bool arrivals_on_ = false;

@@ -14,15 +14,7 @@ using overlay::NodeId;
 using overlay::Session;
 
 void ValidatePacketSimParams(const PacketSimParams& params) {
-  util::Check(params.packet_rate > 0.0, "packet rate must be positive");
-  util::Check(params.buffer_s > 0.0, "playback buffer must be positive");
-  util::Check(params.detect_s >= 0.0, "detection time cannot be negative");
-  util::Check(params.recovery_group_size >= 1,
-              "recovery group needs at least one member");
-  util::Check(params.residual_lo_pkts >= 0.0,
-              "residual bandwidth cannot be negative");
-  util::Check(params.residual_hi_pkts >= params.residual_lo_pkts,
-              "residual bandwidth range must be ordered");
+  core::ValidateRepairParams(params);
   util::Check(params.gop_size >= 2,
               "a GOP needs a reference and at least one dependent frame");
   util::Check(params.warmup_absorb_s >= 0.0,
@@ -42,7 +34,7 @@ void ValidatePacketSimParams(const PacketSimParams& params) {
 
 PacketLevelStream::PacketLevelStream(Session& session, PacketSimParams params,
                                      std::uint64_t seed)
-    : session_(session), params_(params), rng_(seed) {
+    : session_(session), params_(params), rng_(seed), residual_(params_) {
   ValidatePacketSimParams(params_);
   util::Check(session_.params().rejoin_delay_s >= params_.detect_s,
               "rejoin_delay_s must cover the detection time");
@@ -50,16 +42,6 @@ PacketLevelStream::PacketLevelStream(Session& session, PacketSimParams params,
   session_.hooks().AddOnMemberDeparted([this](const Member& m) {
     FinalizeMember(m, session_.simulator().now());
   });
-}
-
-double PacketLevelStream::ResidualFraction(NodeId id) {
-  if (residual_fraction_.size() <= static_cast<std::size_t>(id))
-    residual_fraction_.resize(static_cast<std::size_t>(id) + 1, -1.0);
-  double& f = residual_fraction_[static_cast<std::size_t>(id)];
-  if (f < 0.0)
-    f = rng_.Uniform(params_.residual_lo_pkts, params_.residual_hi_pkts) /
-        params_.packet_rate;
-  return f;
 }
 
 void PacketLevelStream::Start(double duration_s) {
@@ -367,25 +349,23 @@ void PacketLevelStream::OnDeparture(NodeId failed) {
                                 (rejoin_at - stream_start_) * params_.packet_rate));
     if (hole_begin > hole_end) continue;
 
-    std::vector<NodeId> group = core::SelectRecoveryGroup(
+    const std::vector<NodeId> group = core::SelectRecoveryGroup(
         session_, orphan, params_.recovery_group_size, params_.selection);
 
-    // Build the usable stripe set exactly as the repair protocol does.
+    // Build the usable stripe set exactly as the repair protocol does,
+    // drawing residual bandwidths only for the hops that get to serve.
     std::vector<RepairStripe> built;
     double latency = 0.0;
     double covered = 0.0;
-    NodeId prev = orphan;
     const long gid = ++next_group_id_;
-    for (NodeId g : group) {
-      latency += session_.DelayMs(prev, g) / 1000.0;
-      prev = g;
-      const bool usable = tree.Alive(g) && tree.InTree(g) &&
-                          !tree.IsInSubtreeOf(g, failed) && tree.IsRooted(g);
-      if (!usable) continue;
-      const double rate = ResidualFraction(g);
+    for (const core::ChainHop& hop :
+         core::BuildRecoveryChain(session_, orphan, failed, group)) {
+      latency += hop.hop_latency_s;
+      if (!hop.usable) continue;
+      const double rate = residual_.Fraction(hop.node, rng_);
       if (rate <= 0.0) continue;
       RepairStripe s;
-      s.server = g;
+      s.server = hop.node;
       s.orphan = orphan;
       s.group_id = gid;
       s.rate = rate;

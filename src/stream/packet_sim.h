@@ -33,7 +33,6 @@
 
 #include "core/cer/eln.h"
 #include "core/cer/group.h"
-#include "core/cer/recovery.h"
 #include "overlay/session.h"
 #include "rand/rng.h"
 #include "sim/fault_plane.h"
@@ -41,19 +40,10 @@
 
 namespace omcast::stream {
 
-struct PacketSimParams {
-  double packet_rate = 10.0;
-  double buffer_s = 5.0;
-  // Failure-detection time: recovery starts this long after the parent
-  // died. The total outage (detection + rejoin) is the session's
-  // rejoin_delay_s, which must be >= detect_s.
-  double detect_s = 5.0;
-  int recovery_group_size = 3;
-  core::GroupSelection selection = core::GroupSelection::kMlc;
-  core::RecoveryMode mode = core::RecoveryMode::kCooperative;
-  double residual_lo_pkts = 0.0;
-  double residual_hi_pkts = 9.0;
-
+// Repair starts detect_s after the parent died; the total outage
+// (detection + rejoin) is the session's rejoin_delay_s, which must be
+// >= detect_s.
+struct PacketSimParams : core::RepairParams {
   // --- frame-dependency playback (degraded-regime model) -------------------
   // When on, packets form GOPs: seq % gop_size == 0 is a reference frame,
   // the rest of the GOP depends on it. A dependent frame that arrives by
@@ -80,9 +70,8 @@ struct PacketSimParams {
   double stalled_exit = 0.40;
 };
 
-// Aborts (util::Check) on nonsensical parameters: non-positive rates or
-// buffer, negative detection time, empty recovery group, inverted residual
-// range. Called by PacketLevelStream's constructor.
+// Aborts (util::Check) on nonsensical parameters: core::ValidateRepairParams
+// plus the frame-playback checks. Called by PacketLevelStream's constructor.
 void ValidatePacketSimParams(const PacketSimParams& params);
 
 class PacketLevelStream {
@@ -224,7 +213,6 @@ class PacketLevelStream {
   void FailoverStripe(std::size_t index);
   void FinalizeMember(const overlay::Member& m, double end_time);
   Reception& ReceptionFor(overlay::NodeId member, double now);
-  double ResidualFraction(overlay::NodeId id);
   // Judges every sequence whose playback deadline has passed since the
   // member's last window: on-time, lost, or decode-stalled (on time but
   // reference missed). Emits kDecodeStall / kDependencyResync and advances
@@ -247,7 +235,7 @@ class PacketLevelStream {
   std::unordered_map<overlay::NodeId, Reception> rx_;
   // omcast-lint: allow(unordered-iter)
   std::unordered_set<overlay::NodeId> finalized_;
-  std::vector<double> residual_fraction_;
+  core::ResidualBandwidth residual_;
   // Grows only (indices are captured by in-flight events); stripes whose
   // chains ended stay as inert records.
   std::vector<RepairStripe> repair_stripes_;

@@ -10,11 +10,31 @@ using overlay::Member;
 using overlay::NodeId;
 using overlay::Session;
 
+core::OutageResult SimulateOrphanOutage(Session& session, NodeId orphan,
+                                        NodeId failed,
+                                        const StreamParams& params,
+                                        core::ResidualBandwidth& residual,
+                                        rnd::Rng& rng) {
+  const std::vector<NodeId> group = core::SelectRecoveryGroup(
+      session, orphan, params.recovery_group_size, params.selection);
+  core::OutageSpec spec;
+  spec.detect_s = params.detect_s;
+  spec.rejoin_s = params.rejoin_s;
+  spec.buffer_s = params.buffer_s;
+  spec.packet_rate = params.packet_rate;
+  spec.mode = params.mode;
+  for (const core::ChainHop& hop :
+       core::BuildRecoveryChain(session, orphan, failed, group))
+    spec.chain.push_back({hop.usable,
+                          hop.usable ? residual.Fraction(hop.node, rng) : 0.0,
+                          hop.hop_latency_s});
+  return core::SimulateOutage(spec);
+}
+
 StreamingLayer::StreamingLayer(Session& session, StreamParams params,
                                std::uint64_t seed)
-    : session_(session), params_(params), rng_(seed) {
-  util::Check(params_.recovery_group_size >= 1,
-              "recovery group needs at least one member");
+    : session_(session), params_(params), rng_(seed), residual_(params_) {
+  core::ValidateRepairParams(params_);
   session_.hooks().AddOnDeparture([this](NodeId failed) { OnDeparture(failed); });
   session_.hooks().AddOnMemberDeparted(
       [this](const Member& m) { OnMemberDeparted(m); });
@@ -25,16 +45,6 @@ void StreamingLayer::SetMeasurementWindow(double begin_s, double end_s) {
   window_begin_ = begin_s;
   window_end_ = end_s;
   window_set_ = true;
-}
-
-double StreamingLayer::ResidualFraction(NodeId id) {
-  if (residual_fraction_.size() <= static_cast<std::size_t>(id))
-    residual_fraction_.resize(static_cast<std::size_t>(id) + 1, -1.0);
-  double& f = residual_fraction_[static_cast<std::size_t>(id)];
-  if (f < 0.0)
-    f = rng_.Uniform(params_.residual_lo_pkts, params_.residual_hi_pkts) /
-        params_.packet_rate;
-  return f;
 }
 
 void StreamingLayer::AddStarving(NodeId id, double stall_s) {
@@ -49,28 +59,8 @@ void StreamingLayer::OnDeparture(NodeId failed) {
   // Each orphaned child runs the recovery protocol; its whole subtree
   // inherits the resulting stall (ELN suppresses duplicate recoveries).
   for (const NodeId orphan : tree.ChildrenOf(failed)) {
-    std::vector<NodeId> group = core::SelectRecoveryGroup(
-        session_, orphan, params_.recovery_group_size, params_.selection);
-
-    core::OutageSpec spec;
-    spec.detect_s = params_.detect_s;
-    spec.rejoin_s = params_.rejoin_s;
-    spec.buffer_s = params_.buffer_s;
-    spec.packet_rate = params_.packet_rate;
-    spec.mode = params_.mode;
-    NodeId prev = orphan;
-    for (NodeId g : group) {
-      core::RecoverySource src;
-      // A recovery node disrupted by the same failure has no data: NACK.
-      src.usable = tree.Alive(g) && tree.InTree(g) &&
-                   !tree.IsInSubtreeOf(g, failed) && tree.IsRooted(g);
-      src.rate_fraction = src.usable ? ResidualFraction(g) : 0.0;
-      src.hop_latency_s = session_.DelayMs(prev, g) / 1000.0;
-      spec.chain.push_back(src);
-      prev = g;
-    }
-
-    const core::OutageResult outage = core::SimulateOutage(spec);
+    const core::OutageResult outage =
+        SimulateOrphanOutage(session_, orphan, failed, params_, residual_, rng_);
     ++outages_;
     rate_stat_.Add(outage.aggregate_rate);
     outage_starving_stat_.Add(outage.starving_s);

@@ -24,25 +24,26 @@
 #include <vector>
 
 #include "core/cer/group.h"
-#include "core/cer/recovery.h"
 #include "overlay/session.h"
 #include "rand/rng.h"
 #include "util/stats.h"
 
 namespace omcast::stream {
 
-struct StreamParams {
-  double packet_rate = 10.0;  // packets per second
-  double buffer_s = 5.0;      // playback buffer (50 packets by default)
-  double detect_s = 5.0;      // parent-failure detection time
-  double rejoin_s = 10.0;     // parent re-finding time
-  int recovery_group_size = 3;
-  core::GroupSelection selection = core::GroupSelection::kMlc;
-  core::RecoveryMode mode = core::RecoveryMode::kCooperative;
-  // Residual (helping) bandwidth per member, packets per second.
-  double residual_lo_pkts = 0.0;
-  double residual_hi_pkts = 9.0;
+struct StreamParams : core::RepairParams {
+  double rejoin_s = 10.0;  // parent re-finding time
 };
+
+// One orphan's outage under the analytic CER model: selects its recovery
+// group, walks the chain, draws the residual bandwidth of every usable hop
+// in chain order from `rng`, and evaluates the hole with
+// core::SimulateOutage. Shared by StreamingLayer and MultiTreeStream.
+core::OutageResult SimulateOrphanOutage(overlay::Session& session,
+                                        overlay::NodeId orphan,
+                                        overlay::NodeId failed,
+                                        const StreamParams& params,
+                                        core::ResidualBandwidth& residual,
+                                        rnd::Rng& rng);
 
 class StreamingLayer {
  public:
@@ -70,13 +71,12 @@ class StreamingLayer {
  private:
   void OnDeparture(overlay::NodeId failed);
   void OnMemberDeparted(const overlay::Member& m);
-  double ResidualFraction(overlay::NodeId id);
   void AddStarving(overlay::NodeId id, double stall_s);
 
   overlay::Session& session_;
   StreamParams params_;
   rnd::Rng rng_;
-  std::vector<double> residual_fraction_;  // per node; -1 == not drawn yet
+  core::ResidualBandwidth residual_;
   std::vector<double> starving_s_;         // per node accumulated stall
   util::RunningStat ratio_stat_;
   util::RunningStat rate_stat_;

@@ -247,5 +247,47 @@ TEST(RecoveryGroup, MembersAreRootedAndAlive) {
   }
 }
 
+TEST(RecoveryChain, MarksUnusableHopsAndChainsLatencies) {
+  rnd::Rng topo_rng(1);
+  const net::Topology topology =
+      net::Topology::Generate(net::SmallTopologyParams(), topo_rng);
+  sim::Simulator sim;
+  overlay::Session session(sim, topology,
+                           std::make_unique<proto::MinDepthProtocol>(),
+                           overlay::SessionParams{}, 25);
+  session.Prepopulate(200);
+  overlay::Tree& tree = session.tree();
+  // A failed member with two children, and four leaves outside its subtree.
+  overlay::NodeId failed = overlay::kNoNode;
+  for (const overlay::NodeId id : session.alive_members())
+    if (id != overlay::kRootId && tree.ChildCount(id) >= 2) failed = id;
+  ASSERT_NE(failed, overlay::kNoNode);
+  std::vector<overlay::NodeId> leaves;
+  for (const overlay::NodeId id : session.alive_members())
+    if (tree.ChildCount(id) == 0 && !tree.IsInSubtreeOf(id, failed))
+      leaves.push_back(id);
+  ASSERT_GE(leaves.size(), 4u);
+  const overlay::NodeId orphan = tree.Children(failed)[0];
+  const overlay::NodeId inside = tree.Children(failed)[1];
+  const overlay::NodeId dead = leaves[1];
+  const overlay::NodeId unrooted = leaves[2];
+  tree.MarkDead(dead);
+  tree.Detach(unrooted);
+  const std::vector<overlay::NodeId> group = {leaves[0], inside, dead,
+                                              unrooted, leaves[3]};
+
+  const std::vector<ChainHop> chain =
+      BuildRecoveryChain(session, orphan, failed, group);
+  ASSERT_EQ(chain.size(), group.size());
+  const bool usable[] = {true, false, false, false, true};
+  overlay::NodeId prev = orphan;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    EXPECT_EQ(chain[i].node, group[i]);
+    EXPECT_EQ(chain[i].usable, usable[i]) << "hop " << i;
+    EXPECT_EQ(chain[i].hop_latency_s, session.DelayMs(prev, group[i]) / 1000.0);
+    prev = group[i];
+  }
+}
+
 }  // namespace
 }  // namespace omcast::core

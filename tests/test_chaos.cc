@@ -15,6 +15,7 @@
 #include "proto/min_depth.h"
 #include "sim/fault_plane.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::exp {
 namespace {
@@ -35,18 +36,12 @@ using overlay::Tree;
 
 class LeasePathTest : public ::testing::Test {
  protected:
-  LeasePathTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   // Session with a retained RostProtocol routed through plane_.
   std::unique_ptr<Session> Make(RostParams params = {},
                                 std::uint64_t seed = 3) {
     auto protocol = std::make_unique<RostProtocol>(params);
     rost_ = protocol.get();
-    auto s = std::make_unique<Session>(sim_, *topology_, std::move(protocol),
+    auto s = std::make_unique<Session>(sim_, topology_, std::move(protocol),
                                        SessionParams{}, seed);
     plane_ = std::make_unique<sim::FaultPlane>(sim_, sim::FaultPlaneParams{},
                                                seed + 100);
@@ -66,7 +61,7 @@ class LeasePathTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<sim::FaultPlane> plane_;
   RostProtocol* rost_ = nullptr;
   NodeId parent_ = kNoNode;
@@ -187,22 +182,16 @@ TEST_F(LeasePathTest, JoinerWithoutSpareCapacityCannotPreempt) {
 
 class RepairChaosTest : public ::testing::Test {
  protected:
-  RepairChaosTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   void MakeSession(std::uint64_t seed = 5) {
     SessionParams sp;
     sp.rejoin_delay_s = 15.0;
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
         seed);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
 };
 
@@ -217,10 +206,7 @@ TEST_F(RepairChaosTest, ServerDeathMidRepairFailsOverToSurvivingStripe) {
   const NodeId victim = session_->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
   Tree& tree = session_->tree();
-  if (tree.Parent(victim) != hub) {
-    tree.Detach(victim);
-    tree.Attach(hub, victim);
-  }
+  test::Reparent(tree, victim, hub);
   packets.Start(150.0);
   sim_.RunUntil(20.0);
   session_->DepartNow(hub);  // victim's 15 s hole; stripes start at +5 s
@@ -256,10 +242,7 @@ TEST_F(RepairChaosTest, ShrunkenRecoveryGroupFallsBackToFewerStripes) {
   session_->InjectMember(1.0, 1e9);
   sim_.RunUntil(1.0);
   Tree& tree = session_->tree();
-  if (tree.Parent(victim) != hub) {
-    tree.Detach(victim);
-    tree.Attach(hub, victim);
-  }
+  test::Reparent(tree, victim, hub);
   packets.Start(100.0);
   sim_.RunUntil(20.0);
   session_->DepartNow(hub);  // only ~3 possible servers for 6 stripes
@@ -306,9 +289,7 @@ bool SameResult(const ChaosResult& a, const ChaosResult& b) {
 }
 
 TEST(ChaosScenario, TinyRunSurvivesFlashAndMidRepairKills) {
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology& topology = test::TinyTopology();
   const ChaosResult r = RunChaosScenario(topology, TinyChaosConfig(21));
   EXPECT_TRUE(r.zero_wedged_locks);
   EXPECT_EQ(r.registry.at("chaos.wedged_leases"), 0);
@@ -326,9 +307,7 @@ TEST(ChaosScenario, TinyRunSurvivesFlashAndMidRepairKills) {
 }
 
 TEST(ChaosScenario, SameSeedReplaysBitIdentically) {
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology& topology = test::TinyTopology();
   const ChaosResult a = RunChaosScenario(topology, TinyChaosConfig(33));
   const ChaosResult b = RunChaosScenario(topology, TinyChaosConfig(33));
   EXPECT_TRUE(SameResult(a, b))

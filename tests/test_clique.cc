@@ -18,6 +18,7 @@
 #include "obs/registry.h"
 #include "overlay/session.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast {
 namespace {
@@ -33,18 +34,12 @@ using proto::CliqueProtocol;
 
 class CliqueTest : public ::testing::Test {
  protected:
-  CliqueTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   // Session with a retained CliqueProtocol.
   std::unique_ptr<Session> Make(CliqueParams params = {},
                                 std::uint64_t seed = 3) {
     auto protocol = std::make_unique<CliqueProtocol>(params);
     clique_ = protocol.get();
-    return std::make_unique<Session>(sim_, *topology_, std::move(protocol),
+    return std::make_unique<Session>(sim_, topology_, std::move(protocol),
                                      SessionParams{}, seed);
   }
 
@@ -64,7 +59,7 @@ class CliqueTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   CliqueProtocol* clique_ = nullptr;
 };
 
@@ -272,9 +267,7 @@ TEST_F(CliqueTest, ExportCountersPublishesTheCliqueNamespace) {
 // re-entries, and (trivially, the protocol holds no locks) no wedged
 // leases.
 TEST(CliqueChaos, FlashCrowdKeepsTheHealthGates) {
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology& topology = test::TinyTopology();
   exp::ChaosConfig c;
   c.algorithm = exp::Algorithm::kClique;
   c.population = 60;

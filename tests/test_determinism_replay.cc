@@ -29,6 +29,7 @@
 #include "sim/simulator.h"
 #include "stream/packet_sim.h"
 #include "util/hash.h"
+#include "test_support.h"
 
 namespace omcast {
 namespace {
@@ -42,9 +43,8 @@ std::uint64_t RunScenarioDigest(std::uint64_t seed,
                                 sim::QueueKind queue =
                                     sim::QueueKind::kCalendar) {
   sim::Simulator sim(queue);
-  rnd::Rng topo_rng(1);  // fixed topology across seeds; churn varies
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  // Fixed topology across seeds; churn varies.
+  const net::Topology& topology = test::TinyTopology();
 
   overlay::SessionParams sp;
   sp.rejoin_delay_s = 15.0;  // paper's detection + rejoin outage
@@ -100,9 +100,7 @@ std::uint64_t RunScenarioDigest(std::uint64_t seed,
 std::uint64_t RunChaosDigest(std::uint64_t seed,
                              sim::QueueKind queue = sim::QueueKind::kCalendar) {
   sim::Simulator sim(queue);
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology& topology = test::TinyTopology();
 
   overlay::SessionParams sp;
   sp.rejoin_delay_s = 15.0;
@@ -289,14 +287,6 @@ std::uint64_t RunChaosHarnessDigest(int scenario, std::uint64_t seed,
     hash.MixDouble(value);
   }
   hash.MixDouble(r.avg_starving_ratio);
-  hash.MixDouble(r.degraded_time_fraction);
-  hash.MixDouble(r.mean_recovery_to_cadence_s);
-  hash.MixI64(r.decode_stalls);
-  hash.MixI64(r.regime_transitions);
-  hash.MixI64(r.dependency_resyncs);
-  hash.MixI64(r.reentries_scheduled);
-  hash.MixI64(r.reentries_attached);
-  hash.MixI64(r.reentries_abandoned);
   hash.MixI64(r.unrooted_members);
   hash.MixI64(r.final_population);
   hash.MixU64(tracer.Digest());
@@ -369,9 +359,6 @@ std::uint64_t RunCliqueChaosDigest(std::uint64_t seed, sim::QueueKind queue,
     hash.MixDouble(value);
   }
   hash.MixDouble(r.avg_starving_ratio);
-  hash.MixDouble(r.degraded_time_fraction);
-  hash.MixI64(r.decode_stalls);
-  hash.MixI64(r.reentries_attached);
   hash.MixI64(r.unrooted_members);
   hash.MixI64(r.final_population);
   hash.MixU64(tracer.Digest());
@@ -592,10 +579,9 @@ runner::GridRunSummary RunDegradedGrid(int threads) {
     c.incident_analysis = true;
     const exp::ChaosResult r = exp::RunChaosScenario(topology, c);
     runner::CellResult out;
-    out.metrics["degraded_time_fraction"] = r.degraded_time_fraction;
-    out.metrics["decode_stalls"] = static_cast<double>(r.decode_stalls);
-    out.metrics["dependency_resyncs"] =
-        static_cast<double>(r.dependency_resyncs);
+    for (const std::string name :
+         {"degraded_time_fraction", "decode_stalls", "dependency_resyncs"})
+      out.metrics[name] = r.registry.at("qoe." + name);
     out.metrics["reentries_pending"] = static_cast<double>(r.reentries_pending);
     out.registry = r.registry;
     out.incidents = r.incidents;

@@ -7,6 +7,7 @@
 #include "net/topology.h"
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::overlay {
 namespace {
@@ -14,18 +15,15 @@ namespace {
 class GossipTest : public ::testing::Test {
  protected:
   GossipTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(),
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(),
         SessionParams{}, 7);
     gossip_ = std::make_unique<GossipService>(*session_, GossipParams{}, 7);
     session_->SetMembershipOracle(gossip_.get());
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
   std::unique_ptr<GossipService> gossip_;
 };

@@ -11,28 +11,23 @@
 #include "proto/min_depth.h"
 #include "sim/fault_plane.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::overlay {
 namespace {
 
 class HeartbeatTest : public ::testing::Test {
  protected:
-  HeartbeatTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   void MakeSession(std::uint64_t seed = 5) {
     SessionParams sp;
     sp.external_failure_detection = true;
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
         seed);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
 };
 

@@ -8,6 +8,7 @@
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
 #include "util/log.h"
+#include "test_support.h"
 
 namespace omcast::metrics {
 namespace {
@@ -20,16 +21,13 @@ using overlay::SessionParams;
 class MetricsTest : public ::testing::Test {
  protected:
   MetricsTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(),
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(),
         SessionParams{}, 13);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
 };
 
@@ -85,10 +83,7 @@ TEST_F(MetricsTest, TreeSnapshotsSkipUnrootedMembers) {
   const NodeId b = session_->InjectMember(2.0, 1e9);
   sim_.RunUntil(1.0);
   overlay::Tree& tree = session_->tree();
-  if (tree.Parent(b) != a) {
-    tree.Detach(b);
-    tree.Attach(a, b);
-  }
+  test::Reparent(tree, b, a);
   tree.Detach(a);  // both unrooted now
   snaps.Start(2.0, 12.0);
   sim_.RunUntil(15.0);
@@ -102,10 +97,7 @@ TEST_F(MetricsTest, MemberTraceRecordsDisruptionsAndDelays) {
   const NodeId tagged = session_->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
   overlay::Tree& tree = session_->tree();
-  if (tree.Parent(tagged) != hub) {
-    tree.Detach(tagged);
-    tree.Attach(hub, tagged);
-  }
+  test::Reparent(tree, tagged, hub);
   trace.Track(tagged);
   sim_.RunUntil(20.0);
   session_->DepartNow(hub);

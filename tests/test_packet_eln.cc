@@ -11,6 +11,7 @@
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
 #include "stream/packet_sim.h"
+#include "test_support.h"
 
 namespace omcast::stream {
 namespace {
@@ -22,17 +23,14 @@ using overlay::SessionParams;
 class PacketElnTest : public ::testing::Test {
  protected:
   PacketElnTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
     SessionParams sp;
     sp.rejoin_delay_s = 15.0;
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(), sp, 5);
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(), sp, 5);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
 };
 
@@ -48,14 +46,8 @@ TEST_F(PacketElnTest, DescendantsClassifyUpstreamLossDuringRecovery) {
   const NodeId leaf = session_->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
   overlay::Tree& tree = session_->tree();
-  if (tree.Parent(orphan) != failing) {
-    tree.Detach(orphan);
-    tree.Attach(failing, orphan);
-  }
-  if (tree.Parent(leaf) != orphan) {
-    tree.Detach(leaf);
-    tree.Attach(orphan, leaf);
-  }
+  test::Reparent(tree, orphan, failing);
+  test::Reparent(tree, leaf, orphan);
   packets.Start(120.0);
   sim_.RunUntil(30.0);
   EXPECT_EQ(packets.ElnStatusOf(leaf), core::ElnTracker::Status::kHealthy);

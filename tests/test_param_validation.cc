@@ -13,6 +13,8 @@
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
 #include "stream/packet_sim.h"
+#include "stream/streaming.h"
+#include "test_support.h"
 
 namespace omcast {
 namespace {
@@ -65,9 +67,7 @@ TEST(PacketSimParamsDeathTest, RejectsNonsense) {
 TEST(PacketSimParamsDeathTest, RejectsDetectionLongerThanRejoin) {
   // The session's outage (rejoin_delay_s) must cover the stream's detection
   // phase, or repair would start after the orphan already reattached.
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology& topology = test::TinyTopology();
   sim::Simulator sim;
   overlay::SessionParams sp;
   sp.rejoin_delay_s = 1.0;
@@ -75,6 +75,23 @@ TEST(PacketSimParamsDeathTest, RejectsDetectionLongerThanRejoin) {
                            std::make_unique<proto::MinDepthProtocol>(), sp, 1);
   stream::PacketSimParams pp;  // detect_s = 5 > rejoin_delay_s = 1
   EXPECT_DEATH(stream::PacketLevelStream(session, pp, 1), "CHECK failed");
+}
+
+TEST(StreamParamsDeathTest, RejectsNonsense) {
+  // The outage model shares the packet model's repair checks.
+  const net::Topology& topology = test::TinyTopology();
+  sim::Simulator sim;
+  overlay::Session session(sim, topology,
+                           std::make_unique<proto::MinDepthProtocol>(),
+                           overlay::SessionParams{}, 1);
+  stream::StreamParams inverted;
+  inverted.residual_lo_pkts = 5.0;
+  inverted.residual_hi_pkts = 1.0;
+  EXPECT_DEATH(stream::StreamingLayer(session, inverted, 1), "CHECK failed");
+
+  stream::StreamParams unbuffered;
+  unbuffered.buffer_s = -1.0;
+  EXPECT_DEATH(stream::StreamingLayer(session, unbuffered, 1), "CHECK failed");
 }
 
 TEST(RostParamsDeathTest, RejectsNonsense) {
@@ -124,9 +141,7 @@ TEST(CliqueParamsDeathTest, RejectsNonsense) {
 }
 
 TEST(HeartbeatParamsDeathTest, RejectsNonsense) {
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology& topology = test::TinyTopology();
   auto make = [&](overlay::HeartbeatParams hp) {
     sim::Simulator sim;
     overlay::SessionParams sp;

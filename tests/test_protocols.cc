@@ -10,6 +10,7 @@
 #include "proto/relaxed_ordered.h"
 #include "proto/selection.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast {
 namespace {
@@ -23,20 +24,14 @@ using overlay::Tree;
 
 class ProtocolTest : public ::testing::Test {
  protected:
-  ProtocolTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   std::unique_ptr<Session> Make(std::unique_ptr<overlay::Protocol> p,
                                 std::uint64_t seed = 3) {
-    return std::make_unique<Session>(sim_, *topology_, std::move(p),
+    return std::make_unique<Session>(sim_, topology_, std::move(p),
                                      SessionParams{}, seed);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
 };
 
 TEST_F(ProtocolTest, MinDepthPrefersHighestLayer) {
@@ -229,7 +224,7 @@ TEST_F(ProtocolTest, RelaxedToOverflowChildrenAreReparented) {
 TEST_F(ProtocolTest, MinDepthAndLongestFirstImposeNoOverhead) {
   for (auto alg : {exp::Algorithm::kMinDepth, exp::Algorithm::kLongestFirst}) {
     sim::Simulator sim;
-    Session s(sim, *topology_, exp::MakeProtocol(alg, core::RostParams{}),
+    Session s(sim, topology_, exp::MakeProtocol(alg, core::RostParams{}),
               SessionParams{}, 9);
     s.Prepopulate(60);
     s.StartArrivals(60.0 / rnd::kMeanLifetimeSeconds);

@@ -17,6 +17,7 @@
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
 #include "stream/packet_sim.h"
+#include "test_support.h"
 
 namespace omcast {
 namespace {
@@ -36,23 +37,17 @@ long CountKind(const obs::Tracer& tracer, obs::EventKind kind) {
 
 class ReentryTest : public ::testing::Test {
  protected:
-  ReentryTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   std::unique_ptr<Session> Make(SessionParams sp = {},
                                 std::uint64_t seed = 3) {
     auto s = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
         seed);
     s->SetTracer(&tracer_);
     return s;
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   obs::Tracer tracer_;
 };
 
@@ -133,7 +128,7 @@ TEST_F(ReentryTest, ReentryWithNoFreeHostsAbandonsImmediately) {
   s->DepartNow(v);
   // Exhaust the stub hosts before the downtime elapses: the re-entry cannot
   // even create its successor record and abandons up front.
-  while (s->alive_count() + 1 < topology_->num_stub_nodes())
+  while (s->alive_count() + 1 < topology_.num_stub_nodes())
     s->InjectMember(1.0, 1e9);
   s->ScheduleReentry(v, 2.0, 1e9);
   sim_.RunUntil(10.0);
@@ -148,23 +143,17 @@ TEST_F(ReentryTest, ReentryWithNoFreeHostsAbandonsImmediately) {
 
 class PlaybackTest : public ::testing::Test {
  protected:
-  PlaybackTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   // The packet stream requires the rejoin delay to cover its detection
   // time, so the fixture defaults to the paper's 15 s.
   void MakeSession(SessionParams sp = {}) {
     if (sp.rejoin_delay_s <= 0.0) sp.rejoin_delay_s = 15.0;
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(), sp, 5);
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(), sp, 5);
     session_->SetTracer(&tracer_);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
   obs::Tracer tracer_;
 };
@@ -235,10 +224,7 @@ TEST_F(PlaybackTest, ParentDeathDegradesThenRecoversCadence) {
   const NodeId victim = session_->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
   overlay::Tree& tree = session_->tree();
-  if (tree.Parent(victim) != hub) {
-    tree.Detach(victim);
-    tree.Attach(hub, victim);
-  }
+  test::Reparent(tree, victim, hub);
   stream.Start(120.0);
   sim_.RunUntil(20.0);
   ASSERT_EQ(stream.PlaybackRegimeOf(victim), 0);
@@ -266,9 +252,7 @@ TEST_F(PlaybackTest, FramePlaybackDoesNotPerturbDeliveryFates) {
   // starving accounting.
   const auto run = [&](bool frame_playback, long* deliveries, double* ratio) {
     sim::Simulator sim;
-    rnd::Rng topo_rng(1);
-    const net::Topology topo =
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+    const net::Topology& topo = test::TinyTopology();
     SessionParams sp;
     sp.rejoin_delay_s = 15.0;
     Session session(sim, topo, std::make_unique<proto::MinDepthProtocol>(),
@@ -302,9 +286,7 @@ TEST_F(PlaybackTest, FramePlaybackDoesNotPerturbDeliveryFates) {
 // 5% control-plane loss) must finish with zero wedged leases, every
 // re-entry resolved, and no permanently stalled playback session.
 TEST(ReconnectStorm, ResolvesEveryReentryWithoutWedgingLeases) {
-  rnd::Rng topo_rng(1);
-  const net::Topology topology =
-      net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+  const net::Topology& topology = test::TinyTopology();
   exp::ChaosConfig c;
   c.population = 60;
   c.warmup_s = 300.0;
@@ -325,17 +307,15 @@ TEST(ReconnectStorm, ResolvesEveryReentryWithoutWedgingLeases) {
   EXPECT_EQ(r.registry.at("chaos.wedged_leases"), 0);
   // >= 10% of the nominal population actually went through the storm.
   EXPECT_GE(r.reconnect_storm_killed, 6);
-  EXPECT_EQ(r.reentries_scheduled, r.reconnect_storm_killed);
-  EXPECT_EQ(r.reentries_attached + r.reentries_abandoned,
-            r.reentries_scheduled);
+  const double scheduled = r.registry.at("reconnect.scheduled");
+  EXPECT_EQ(scheduled, r.reconnect_storm_killed);
+  EXPECT_EQ(r.registry.at("reconnect.attached") +
+                r.registry.at("reconnect.abandoned"),
+            scheduled);
   EXPECT_EQ(r.reentries_pending, 0) << "a re-entry neither attached nor "
                                        "abandoned: the retry chain wedged";
-  EXPECT_EQ(r.permanently_stalled, 0);
-  // The storm surfaces in the exported registry too.
-  ASSERT_TRUE(r.registry.contains("reconnect.scheduled"));
-  EXPECT_EQ(r.registry.at("reconnect.scheduled"),
-            static_cast<double>(r.reentries_scheduled));
   EXPECT_EQ(r.registry.at("reconnect.pending"), 0.0);
+  EXPECT_EQ(r.registry.at("qoe.permanently_stalled"), 0.0);
 }
 
 }  // namespace

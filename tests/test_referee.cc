@@ -7,6 +7,7 @@
 #include "core/rost/rost.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::core {
 namespace {
@@ -19,20 +20,17 @@ using overlay::SessionParams;
 class RefereeTest : public ::testing::Test {
  protected:
   RefereeTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
     RostParams p;
     p.use_referees = true;
     p.switching_interval_s = 1e8;  // manual switching only
     auto protocol = std::make_unique<RostProtocol>(p);
     rost_ = protocol.get();
-    session_ = std::make_unique<Session>(sim_, *topology_, std::move(protocol),
+    session_ = std::make_unique<Session>(sim_, topology_, std::move(protocol),
                                          SessionParams{}, 5);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
   RostProtocol* rost_ = nullptr;
 };
@@ -93,7 +91,7 @@ TEST_F(RefereeTest, CheaterClimbsWithoutReferees) {
   p.switching_interval_s = 1e8;
   auto protocol = std::make_unique<RostProtocol>(p);
   RostProtocol* rost = protocol.get();
-  Session session(sim, *topology_, std::move(protocol), SessionParams{}, 5);
+  Session session(sim, topology_, std::move(protocol), SessionParams{}, 5);
   session.tree().SetCapacity(kRootId, 1);
   const NodeId honest = session.InjectMember(2.0, 1e9);
   sim.RunUntil(1.0);

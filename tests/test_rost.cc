@@ -6,6 +6,7 @@
 
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::core {
 namespace {
@@ -19,23 +20,17 @@ using overlay::Tree;
 
 class RostTest : public ::testing::Test {
  protected:
-  RostTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   // Builds a session whose RostProtocol pointer is retained for inspection.
   std::unique_ptr<Session> Make(RostParams params = {},
                                 std::uint64_t seed = 3) {
     auto protocol = std::make_unique<RostProtocol>(params);
     rost_ = protocol.get();
-    return std::make_unique<Session>(sim_, *topology_, std::move(protocol),
+    return std::make_unique<Session>(sim_, topology_, std::move(protocol),
                                      SessionParams{}, seed);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   RostProtocol* rost_ = nullptr;
 };
 

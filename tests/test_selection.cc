@@ -12,6 +12,7 @@
 #include "proto/min_depth.h"
 #include "proto/relaxed_ordered.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::proto {
 namespace {
@@ -26,16 +27,13 @@ using overlay::Tree;
 class SelectionTest : public ::testing::Test {
  protected:
   SelectionTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<MinDepthProtocol>(),
+        sim_, topology_, std::make_unique<MinDepthProtocol>(),
         SessionParams{}, 3);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
 };
 
@@ -122,7 +120,7 @@ TEST_F(SelectionTest, EvictionDeferredWhenItWouldDrainHeadroom) {
   sim::Simulator sim;
   SessionParams sp;
   sp.root_bandwidth = 1.0;  // root holds exactly one child
-  Session s(sim, *topology_, std::make_unique<RelaxedTimeOrderedProtocol>(),
+  Session s(sim, topology_, std::make_unique<RelaxedTimeOrderedProtocol>(),
             sp, 9);
   Tree& tree = s.tree();
   // Young supernode holds the top slot and all the headroom.
@@ -148,7 +146,7 @@ TEST_F(SelectionTest, EvictionChainsTerminate) {
   sim::Simulator sim;
   SessionParams sp;
   sp.root_bandwidth = 2.0;
-  Session s(sim, *topology_, std::make_unique<RelaxedBandwidthOrderedProtocol>(),
+  Session s(sim, topology_, std::make_unique<RelaxedBandwidthOrderedProtocol>(),
             sp, 11);
   // A ladder of bandwidths joining weakest-first maximizes chain length.
   for (double bw : {1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.6, 3.0, 4.0})

@@ -8,26 +8,21 @@
 #include "net/topology.h"
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::overlay {
 namespace {
 
 class SessionTest : public ::testing::Test {
  protected:
-  SessionTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   std::unique_ptr<Session> MakeSession(std::uint64_t seed = 7) {
-    return std::make_unique<Session>(sim_, *topology_,
+    return std::make_unique<Session>(sim_, topology_,
                                      std::make_unique<proto::MinDepthProtocol>(),
                                      SessionParams{}, seed);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
 };
 
 TEST_F(SessionTest, PrepopulateReachesTargetPopulation) {
@@ -69,14 +64,8 @@ TEST_F(SessionTest, DepartureDisruptsDescendantsOnce) {
   sim_.RunUntil(1.0);
   Tree& tree = session->tree();
   // Rearrange deterministically.
-  if (tree.Parent(b) != a) {
-    tree.Detach(b);
-    tree.Attach(a, b);
-  }
-  if (tree.Parent(c) != b) {
-    tree.Detach(c);
-    tree.Attach(b, c);
-  }
+  test::Reparent(tree, b, a);
+  test::Reparent(tree, c, b);
   session->DepartNow(a);
   EXPECT_FALSE(tree.Alive(a));
   EXPECT_EQ(tree.Get(b).disruptions, 1);
@@ -95,10 +84,7 @@ TEST_F(SessionTest, DepartureFiresHooksInOrder) {
   const NodeId b = session->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
   Tree& tree = session->tree();
-  if (tree.Parent(b) != a) {
-    tree.Detach(b);
-    tree.Attach(a, b);
-  }
+  test::Reparent(tree, b, a);
   std::vector<std::string> events;
   session->hooks().AddOnDeparture([&](NodeId id) {
     EXPECT_EQ(id, a);
@@ -147,10 +133,7 @@ TEST_F(SessionTest, SampleCandidatesExcludesFragmentAndIncludesRoot) {
   const NodeId b = session->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
   Tree& tree = session->tree();
-  if (tree.Parent(b) != a) {
-    tree.Detach(b);
-    tree.Attach(a, b);
-  }
+  test::Reparent(tree, b, a);
   tree.Detach(a);  // fragment {a, b}
   const auto cands = session->SampleCandidates(100, a);
   EXPECT_FALSE(cands.empty());
@@ -179,10 +162,7 @@ TEST_F(SessionTest, OverlayDelayIsSumOfHops) {
   const NodeId b = session->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
   Tree& tree = session->tree();
-  if (tree.Parent(b) != a) {
-    tree.Detach(b);
-    tree.Attach(a, b);
-  }
+  test::Reparent(tree, b, a);
   ASSERT_EQ(tree.Parent(a), kRootId);
   const double expected =
       session->DelayMs(kRootId, a) + session->DelayMs(a, b);
@@ -204,7 +184,7 @@ TEST_F(SessionTest, ForceRejoinChargesReconnection) {
 TEST_F(SessionTest, DeterministicGivenSeed) {
   auto run = [this](std::uint64_t seed) {
     sim::Simulator sim;
-    Session session(sim, *topology_, std::make_unique<proto::MinDepthProtocol>(),
+    Session session(sim, topology_, std::make_unique<proto::MinDepthProtocol>(),
                     SessionParams{}, seed);
     session.Prepopulate(40);
     session.StartArrivals(40.0 / rnd::kMeanLifetimeSeconds);

@@ -10,27 +10,22 @@
 #include "overlay/session.h"
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::overlay {
 namespace {
 
 class SessionDynamicsTest : public ::testing::Test {
  protected:
-  SessionDynamicsTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   std::unique_ptr<Session> Make(SessionParams params = {},
                                 std::uint64_t seed = 7) {
-    return std::make_unique<Session>(sim_, *topology_,
+    return std::make_unique<Session>(sim_, topology_,
                                      std::make_unique<proto::MinDepthProtocol>(),
                                      params, seed);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
 };
 
 TEST_F(SessionDynamicsTest, JoinPoolContainsBfsPrefixFromRoot) {
@@ -135,10 +130,7 @@ TEST_F(SessionDynamicsTest, ChargeDisruptionHitsSubtree) {
   const NodeId a = s->InjectMember(2.0, 1e9);
   const NodeId b = s->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
-  if (tree.Parent(b) != a) {
-    tree.Detach(b);
-    tree.Attach(a, b);
-  }
+  test::Reparent(tree, b, a);
   int hook_calls = 0;
   s->hooks().AddOnDisruption([&](NodeId, NodeId) { ++hook_calls; });
   s->ChargeDisruption(a);
@@ -157,7 +149,7 @@ TEST_F(SessionDynamicsTest, RostPrepopulationFastForwardsSwitches) {
   core::RostProtocol* rost = protocol.get();
   SessionParams sp;
   sp.root_bandwidth = 5.0;  // force depth so parent-child pairs exist
-  Session session(sim, *topology_, std::move(protocol), sp, 11);
+  Session session(sim, topology_, std::move(protocol), sp, 11);
   session.Prepopulate(80);
   // Without running any warmup, no timer-driven switch has fired yet; any
   // ordering must come from OnPrepopulated.
@@ -187,10 +179,7 @@ TEST_F(SessionDynamicsTest, RejoinDelayKeepsOrphanDetached) {
   const NodeId hub = s->InjectMember(5.0, 1e9);
   const NodeId child = s->InjectMember(0.5, 1e9);
   sim_.RunUntil(1.0);
-  if (tree.Parent(child) != hub) {
-    tree.Detach(child);
-    tree.Attach(hub, child);
-  }
+  test::Reparent(tree, child, hub);
   s->DepartNow(hub);
   // The orphan is physically detached for the detection + rejoin window.
   sim_.RunUntil(10.0);
@@ -209,10 +198,7 @@ TEST_F(SessionDynamicsTest, RejoinDelaySkipsMembersThatDieMeanwhile) {
   const NodeId hub = s->InjectMember(5.0, 1e9);
   const NodeId child = s->InjectMember(0.5, 10.0);  // dies during the window
   sim_.RunUntil(1.0);
-  if (tree.Parent(child) != hub) {
-    tree.Detach(child);
-    tree.Attach(hub, child);
-  }
+  test::Reparent(tree, child, hub);
   s->DepartNow(hub);
   sim_.RunUntil(30.0);  // child died at ~11, before its rejoin at ~16
   EXPECT_FALSE(tree.Alive(child));

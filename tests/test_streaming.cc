@@ -7,6 +7,7 @@
 #include "net/topology.h"
 #include "proto/min_depth.h"
 #include "sim/simulator.h"
+#include "test_support.h"
 
 namespace omcast::stream {
 namespace {
@@ -18,24 +19,18 @@ using overlay::SessionParams;
 
 class StreamingTest : public ::testing::Test {
  protected:
-  StreamingTest() {
-    rnd::Rng topo_rng(1);
-    topology_ = std::make_unique<net::Topology>(
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng));
-  }
-
   void MakeSession(StreamParams params, std::uint64_t seed = 9,
                    double root_bandwidth = 100.0) {
     SessionParams sp;
     sp.root_bandwidth = root_bandwidth;
     session_ = std::make_unique<Session>(
-        sim_, *topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
+        sim_, topology_, std::make_unique<proto::MinDepthProtocol>(), sp,
         seed);
     streaming_ = std::make_unique<StreamingLayer>(*session_, params, seed);
   }
 
   sim::Simulator sim_;
-  std::unique_ptr<net::Topology> topology_;
+  const net::Topology& topology_ = test::TinyTopology();
   std::unique_ptr<Session> session_;
   std::unique_ptr<StreamingLayer> streaming_;
 };
@@ -51,10 +46,7 @@ TEST_F(StreamingTest, FailureTriggersOneOutagePerOrphan) {
   sim_.RunUntil(1.0);
   overlay::Tree& tree = session_->tree();
   for (NodeId id : {c1, c2}) {
-    if (tree.Parent(id) != hub) {
-      tree.Detach(id);
-      tree.Attach(hub, id);
-    }
+    test::Reparent(tree, id, hub);
   }
   session_->DepartNow(hub);
   EXPECT_EQ(streaming_->outages_simulated(), 2);
@@ -71,10 +63,7 @@ TEST_F(StreamingTest, StarvingRatioRecordedOnDeparture) {
   const NodeId victim = session_->InjectMember(0.5, 120.0);
   sim_.RunUntil(2.0);
   overlay::Tree& tree = session_->tree();
-  if (tree.Parent(victim) != hub) {
-    tree.Detach(victim);
-    tree.Attach(hub, victim);
-  }
+  test::Reparent(tree, victim, hub);
   sim_.RunUntil(200.0);  // hub dies at 40, victim at ~122
   ASSERT_FALSE(tree.Alive(victim));
   EXPECT_GE(streaming_->ratio_stat().count(), 1u);
@@ -120,7 +109,7 @@ TEST_F(StreamingTest, BiggerGroupsReduceStarving) {
     // overlay so failures actually orphan subtrees.
     SessionParams sp;
     sp.root_bandwidth = 6.0;
-    Session session(sim, *topology_, std::make_unique<proto::MinDepthProtocol>(),
+    Session session(sim, topology_, std::make_unique<proto::MinDepthProtocol>(),
                     sp, 33);
     StreamParams p;
     p.recovery_group_size = group_size;
@@ -144,7 +133,7 @@ TEST_F(StreamingTest, CooperativeBeatsSingleSource) {
   // single-source chain.
   auto run = [&](core::RecoveryMode mode) {
     sim::Simulator sim;
-    Session session(sim, *topology_, std::make_unique<proto::MinDepthProtocol>(),
+    Session session(sim, topology_, std::make_unique<proto::MinDepthProtocol>(),
                     SessionParams{}, 44);
     StreamParams p;
     p.recovery_group_size = 3;
@@ -160,10 +149,7 @@ TEST_F(StreamingTest, CooperativeBeatsSingleSource) {
       sim.RunUntil(sim.now() + 1.0);
       overlay::Tree& tree = session.tree();
       for (overlay::NodeId c : {c1, c2}) {
-        if (tree.Parent(c) != hub) {
-          tree.Detach(c);
-          tree.Attach(hub, c);
-        }
+        test::Reparent(tree, c, hub);
       }
       session.DepartNow(hub);
     }

@@ -23,6 +23,7 @@
 #include "exp/chaos.h"
 #include "net/topology.h"
 #include "obs/trace.h"
+#include "test_support.h"
 
 namespace omcast {
 namespace {
@@ -42,9 +43,7 @@ struct TraceFixture {
 const TraceFixture& Fixture() {
   static TraceFixture* fixture = [] {
     auto* f = new TraceFixture;
-    rnd::Rng topo_rng(1);
-    const net::Topology topology =
-        net::Topology::Generate(net::TinyTopologyParams(), topo_rng);
+    const net::Topology& topology = test::TinyTopology();
     exp::ChaosConfig c;
     c.population = 80;
     c.warmup_s = 120.0;
