@@ -3,51 +3,15 @@
 // know about a medium-sized subset of other nodes", Section 4.1). This
 // bench validates that abstraction by re-running the ROST and min-depth
 // scenarios over the *real* gossip protocol (bounded views, push-pull
-// exchanges, stale entries) and comparing the headline metrics.
+// exchanges, stale entries; exp::RunConfig::use_gossip) and comparing the
+// headline metrics. Both columns are plain RunTreeScenario cells, so the
+// "uniform" column is the figure benches' own run.
 #include <iostream>
-#include <memory>
 
 #include "bench_common.h"
-#include "metrics/collectors.h"
-#include "overlay/gossip.h"
-#include "sim/simulator.h"
-
-namespace {
-
-using namespace omcast;
-
-runner::CellResult RunOne(const net::Topology& topology,
-                          exp::Algorithm algorithm, bool use_gossip,
-                          const exp::ScenarioConfig& config) {
-  sim::Simulator sim;
-  overlay::Session session(sim, topology,
-                           exp::MakeProtocol(algorithm, config.rost),
-                           config.session, config.seed);
-  std::unique_ptr<overlay::GossipService> gossip;
-  if (use_gossip) {
-    gossip = std::make_unique<overlay::GossipService>(
-        session, overlay::GossipParams{}, config.seed ^ 0x90551B);
-    session.SetMembershipOracle(gossip.get());
-  }
-  metrics::MemberOutcomes outcomes(session);
-  metrics::TreeSnapshots snapshots(session, config.snapshot_interval_s);
-  const double t_end = config.warmup_s + config.measure_s;
-  outcomes.SetWindow(config.warmup_s, t_end);
-  snapshots.Start(config.warmup_s, t_end);
-  session.Prepopulate(config.population);
-  session.StartArrivals(config.population / rnd::kMeanLifetimeSeconds);
-  sim.RunUntil(t_end);
-  outcomes.HarvestAliveMembers();
-  runner::CellResult out;
-  out.metrics["disruptions"] = outcomes.disruptions().mean();
-  out.metrics["delay_ms"] = snapshots.delay_ms().mean();
-  out.metrics["reconnections"] = outcomes.reconnections().mean();
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace omcast;
   util::FlagSet flags;
   bench::DefineCommonFlags(flags);
   if (!flags.Parse(argc, argv)) return 1;
@@ -69,8 +33,9 @@ int main(int argc, char** argv) {
     exp::ScenarioConfig config = env.BaseConfig();
     config.population = env.focus_size;
     config.seed = cell.seed;
-    return RunOne(env.Topo(), algorithms[cell.row],
-                  /*use_gossip=*/cell.col == 1, config);
+    config.use_gossip = cell.col == 1;
+    return bench::TreeCellResult(
+        exp::RunTreeScenario(env.Topo(), algorithms[cell.row], config));
   };
   const runner::ResultsSink sink = bench::RunGridBench(env, spec);
 

@@ -98,12 +98,8 @@ runner::CellResult RunChurnCell(const GridOptions& opt,
   c.warmup_s = opt.tree_warmup_s;
   c.measure_s = opt.tree_measure_s;
   c.seed = shared_seed;
-  obs::Registry reg;
-  c.registry = &reg;
-  c.timeseries_window_s = opt.timeseries_window_s;
-  c.incident_analysis = true;
-  bench::CellTraceStream trace(opt.trace_dir, cell);
-  c.tracer = trace.tracer();
+  bench::CellObservability observe(c, cell, opt.timeseries_window_s,
+                                   opt.trace_dir);
   const exp::TreeScenarioResult r = exp::RunTreeScenario(topo, a, c);
 
   runner::CellResult out;
@@ -114,12 +110,10 @@ runner::CellResult RunChurnCell(const GridOptions& opt,
   out.metrics["stretch"] = r.avg_stretch;
   out.metrics["depth"] = r.avg_depth;
   out.metrics["population"] = r.avg_population;
-  out.metrics["control_overhead"] = ControlOverhead(reg, a);
+  out.metrics["control_overhead"] = ControlOverhead(observe.registry(), a);
   if (a == exp::Algorithm::kClique)
     out.metrics["clique_disruptions"] = r.avg_disruptions;
-  out.registry = reg.Flatten();
-  out.incidents = r.incidents;
-  bench::ExportTimeSeries(reg, &out);
+  observe.Fill(r.incidents, &out);
   return out;
 }
 
@@ -175,12 +169,8 @@ runner::CellResult RunChaosCell(const GridOptions& opt,
       break;
   }
 
-  obs::Registry reg;
-  c.registry = &reg;
-  c.timeseries_window_s = opt.timeseries_window_s;
-  c.incident_analysis = true;
-  bench::CellTraceStream trace(opt.trace_dir, cell);
-  c.tracer = trace.tracer();
+  bench::CellObservability observe(c, cell, opt.timeseries_window_s,
+                                   opt.trace_dir);
   const exp::ChaosResult r = exp::RunChaosScenario(topo, c);
 
   runner::CellResult out;
@@ -189,8 +179,8 @@ runner::CellResult RunChaosCell(const GridOptions& opt,
        {"degraded_time_fraction", "mean_recovery_to_cadence_s",
         "decode_stalls"})
     out.metrics[name] = r.registry.at("qoe." + name);
-  out.metrics["control_overhead"] = ControlOverhead(reg, a);
-  out.metrics["wedged_leases"] = r.zero_wedged_locks ? 0.0 : 1.0;
+  out.metrics["control_overhead"] = ControlOverhead(observe.registry(), a);
+  out.metrics["wedged_leases"] = r.registry.at("chaos.wedged_leases");
   out.metrics["reentries_pending"] = static_cast<double>(r.reentries_pending);
   out.metrics["unrooted_members"] = static_cast<double>(r.unrooted_members);
   out.metrics["capacity_starved"] = static_cast<double>(r.capacity_starved);
@@ -198,13 +188,11 @@ runner::CellResult RunChaosCell(const GridOptions& opt,
   if (a == exp::Algorithm::kClique) {
     out.metrics["clique_starving_ratio"] = r.avg_starving_ratio;
     out.metrics["clique_local_recoveries"] =
-        reg.CounterValue("clique.local_recoveries");
+        observe.registry().CounterValue("clique.local_recoveries");
     out.metrics["clique_backbone_reattaches"] =
-        reg.CounterValue("clique.backbone_reattaches");
+        observe.registry().CounterValue("clique.backbone_reattaches");
   }
-  out.registry = reg.Flatten();
-  out.incidents = r.incidents;
-  bench::ExportTimeSeries(reg, &out);
+  observe.Fill(r.incidents, &out);
   return out;
 }
 
@@ -274,27 +262,13 @@ int main(int argc, char** argv) {
                                  : RunChaosCell(opt, topo, cell, shared_seed);
   };
 
-  runner::RunnerOptions options;
-  options.threads = flags.GetInt("threads");
-  options.base_seed = opt.seed;
-  options.progress = flags.GetBool("progress");
-  const std::string out_dir = flags.GetString("out");
-  const std::filesystem::path out_path =
-      out_dir.empty() ? std::filesystem::path{}
-                      : std::filesystem::path(out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (flags.GetBool("resume") && !out_dir.empty() &&
-      bench::LoadResumeFile(out_path, spec.figure, &resume_doc))
-    options.resume = &resume_doc;
-
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = "bakeoff";
-  info.git_sha = bench::GitSha();
-  info.base_seed = opt.seed;
-  info.warmup_s = opt.tree_warmup_s;
-  info.measure_s = opt.tree_measure_s;
-  const runner::ResultsSink sink(spec, info, std::move(summary));
+  const runner::ResultsSink sink = bench::RunGridBench(
+      spec,
+      {.threads = flags.GetInt("threads"), .base_seed = opt.seed,
+       .progress = flags.GetBool("progress")},
+      {.scale = "bakeoff", .git_sha = bench::GitSha(), .base_seed = opt.seed,
+       .warmup_s = opt.tree_warmup_s, .measure_s = opt.tree_measure_s},
+      flags.GetString("out"), flags.GetBool("resume"));
 
   bench::PrintMetricTable(spec, sink, "disruptions", 3,
                           "disruptions per member (churn rows; Fig. 4)");
@@ -329,30 +303,9 @@ int main(int argc, char** argv) {
 
   // Health gate over the chaos rows, both protocols: a wedged lease, a
   // stranded orphan, or an unresolved re-entry fails the whole run.
-  bool healthy = true;
-  for (std::size_t row = kChurnRows; row < spec.rows.size(); ++row)
-    for (std::size_t col = 0; col < spec.cols.size(); ++col) {
-      if (sink.Stat(row, col, "wedged_leases").mean() != 0.0 ||
-          sink.Stat(row, col, "reentries_pending").mean() != 0.0 ||
-          sink.Stat(row, col, "unrooted_members").mean() != 0.0) {
-        std::cerr << "[bakeoff] unhealthy cell: " << spec.rows[row] << " / "
-                  << spec.cols[col] << "\n";
-        healthy = false;
-      }
-    }
-  if (!healthy) {
-    std::cerr << "[bakeoff] HEALTH GATE FAILED: wedged leases, stranded "
-                 "orphans, or unresolved re-entries\n";
-    return 1;
-  }
-
-  if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    if (!sink.WriteJson(out_path.string())) {
-      std::cerr << "[bakeoff] FAILED to write " << out_path << "\n";
-      return 1;
-    }
-    std::cerr << "[bakeoff] wrote " << out_path << "\n";
-  }
-  return 0;
+  return bench::HealthGate(spec, sink, kChurnRows,
+                           {"wedged_leases", "reentries_pending",
+                            "unrooted_members"})
+             ? 0
+             : 1;
 }

@@ -38,6 +38,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -198,79 +199,120 @@ inline bool LoadResumeFile(const std::filesystem::path& path,
   std::exit(2);
 }
 
-// Executes the grid on the runner and wraps the outcomes in a ResultsSink.
-// When --out is set, writes DIR/<figure>.json (and, with --resume, reuses
-// matching cells from a previous file at that path first).
-inline runner::ResultsSink RunGridBench(const BenchEnv& env,
-                                        const runner::GridSpec& spec) {
-  runner::RunnerOptions options;
-  options.threads = env.threads;
-  options.base_seed = env.seed;
-  options.progress = env.progress;
-
+// The one grid entry point every bench runs through: executes the grid on
+// the runner and wraps the outcomes in a ResultsSink with `info` as its run
+// manifest. When `out_dir` is set, writes DIR/<figure>.json (and, with
+// `resume`, reuses matching cells from a previous file at that path
+// first); a file that cannot be written exits the process with status 1,
+// after the grid ran.
+inline runner::ResultsSink RunGridBench(const runner::GridSpec& spec,
+                                        runner::RunnerOptions options,
+                                        const runner::RunInfo& info,
+                                        const std::string& out_dir,
+                                        bool resume) {
   const std::filesystem::path out_path =
-      env.out_dir.empty()
+      out_dir.empty()
           ? std::filesystem::path{}
-          : std::filesystem::path(env.out_dir) / (spec.figure + ".json");
+          : std::filesystem::path(out_dir) / (spec.figure + ".json");
   runner::Json resume_doc;
-  if (env.resume && !env.out_dir.empty() &&
+  if (resume && !out_dir.empty() &&
       LoadResumeFile(out_path, spec.figure, &resume_doc))
     options.resume = &resume_doc;
 
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = env.ScaleLabel();
-  info.git_sha = GitSha();
-  info.base_seed = env.seed;
-  info.warmup_s = env.warmup_s;
-  info.measure_s = env.measure_s;
-  runner::ResultsSink sink(spec, info, std::move(summary));
-
-  if (!env.out_dir.empty()) {
-    std::filesystem::create_directories(env.out_dir);
-    if (!sink.WriteJson(out_path.string()))
+  runner::ResultsSink sink(spec, info, runner::RunGrid(spec, options));
+  if (!out_dir.empty()) {
+    std::error_code ec;  // a failed mkdir surfaces as the failed write
+    std::filesystem::create_directories(out_dir, ec);
+    if (!sink.WriteJson(out_path.string())) {
       std::cerr << "[" << spec.figure << "] FAILED to write " << out_path
                 << "\n";
-    else
-      std::cerr << "[" << spec.figure << "] wrote " << out_path << " ("
-                << sink.summary().executed << " cells run, "
-                << sink.summary().resumed << " resumed, "
-                << sink.summary().threads << " threads, "
-                << util::FormatDouble(sink.summary().wall_ms / 1000.0, 1)
-                << "s)\n";
+      std::exit(1);
+    }
+    std::cerr << "[" << spec.figure << "] wrote " << out_path << " ("
+              << sink.summary().executed << " cells run, "
+              << sink.summary().resumed << " resumed, "
+              << sink.summary().threads << " threads, "
+              << util::FormatDouble(sink.summary().wall_ms / 1000.0, 1)
+              << "s)\n";
   }
   return sink;
 }
 
-// ---------------------------------------------------------------------------
-// Observability adapters: schema-v3 timeseries export and streaming traces.
-// ---------------------------------------------------------------------------
-
-// Copies every obs::TimeSeries registered in `reg` into the cell's
-// schema-v3 "timeseries" block (dense points, window width, flavor).
-inline void ExportTimeSeries(const obs::Registry& reg,
-                             runner::CellResult* out) {
-  for (const auto& [name, ts] : reg.series()) {
-    runner::CellResult::SeriesSnapshot snap;
-    snap.kind = static_cast<int>(ts.kind());
-    snap.window_s = ts.window_s();
-    const std::vector<obs::TimeSeries::Point> points = ts.Points();
-    snap.points.reserve(points.size());
-    for (const obs::TimeSeries::Point& p : points)
-      snap.points.emplace_back(p.t, p.value);
-    out->timeseries[name] = std::move(snap);
-  }
+// The figure benches' overload: runner options, run manifest and output
+// directory from the common flags.
+inline runner::ResultsSink RunGridBench(const BenchEnv& env,
+                                        const runner::GridSpec& spec) {
+  return RunGridBench(
+      spec,
+      {.threads = env.threads, .base_seed = env.seed, .progress = env.progress},
+      {.scale = env.ScaleLabel(), .git_sha = GitSha(), .base_seed = env.seed,
+       .warmup_s = env.warmup_s, .measure_s = env.measure_s},
+      env.out_dir, env.resume);
 }
 
-// Optional per-cell streaming trace export (--trace-stream=DIR): a
-// bounded-ring tracer with a JsonlStreamSink writing the cell's FULL event
-// history to DIR/<figure>.<row>.<col>.rep<N>.trace.jsonl -- the sink sees
-// every emission before ring eviction, so nothing is lost on long runs.
-// Pass tracer() (null when streaming is off) into the scenario config.
-class CellTraceStream {
+// Health gate over rows [first_row, rows) of every column: true when each
+// listed metric's mean is zero in every cell. Names each failing cell and
+// metric on stderr.
+inline bool HealthGate(const runner::GridSpec& spec,
+                       const runner::ResultsSink& sink, std::size_t first_row,
+                       const std::vector<std::string>& metrics) {
+  bool healthy = true;
+  for (std::size_t row = first_row; row < spec.rows.size(); ++row)
+    for (std::size_t col = 0; col < spec.cols.size(); ++col)
+      for (const std::string& metric : metrics)
+        if (sink.Stat(row, col, metric).mean() != 0.0) {
+          std::cerr << "[" << spec.figure << "] unhealthy cell: "
+                    << spec.rows[row] << " / " << spec.cols[col] << " ("
+                    << metric << ")\n";
+          healthy = false;
+        }
+  if (!healthy) std::cerr << "[" << spec.figure << "] HEALTH GATE FAILED\n";
+  return healthy;
+}
+
+// Per-cell observability: points `config` at a cell-local registry, the
+// recovery-curve window and incident analysis, and -- with a trace
+// directory (--trace-stream=DIR) -- at a bounded-ring tracer whose
+// JsonlStreamSink writes the cell's FULL event history to
+// DIR/<figure>.<row>.<col>.rep<N>.trace.jsonl (the sink sees every emission
+// before ring eviction, so nothing is lost on long runs). After the run,
+// Fill() copies the registry snapshot, the run's incident stats and the
+// recovery curves into the cell's schema-v3 "registry", "incidents" and
+// "timeseries" blocks. Must outlive the run.
+class CellObservability {
  public:
-  CellTraceStream(const std::string& dir, const runner::CellContext& cell) {
-    if (dir.empty()) return;
+  CellObservability(exp::RunConfig& config, const runner::CellContext& cell,
+                    double timeseries_window_s, const std::string& trace_dir) {
+    config.registry = &registry_;
+    config.timeseries_window_s = timeseries_window_s;
+    config.incident_analysis = true;
+    if (!trace_dir.empty()) OpenTrace(trace_dir, cell);
+    config.tracer = tracer_ ? &*tracer_ : nullptr;
+  }
+  ~CellObservability() {
+    if (tracer_) tracer_->RemoveSink(&*sink_);
+  }
+  CellObservability(const CellObservability&) = delete;
+  CellObservability& operator=(const CellObservability&) = delete;
+
+  const obs::Registry& registry() const { return registry_; }
+
+  void Fill(const std::map<std::string, double>& incidents,
+            runner::CellResult* out) const {
+    out->registry = registry_.Flatten();
+    out->incidents = incidents;
+    for (const auto& [name, ts] : registry_.series()) {
+      runner::CellResult::SeriesSnapshot snap;
+      snap.kind = static_cast<int>(ts.kind());
+      snap.window_s = ts.window_s();
+      for (const obs::TimeSeries::Point& p : ts.Points())
+        snap.points.emplace_back(p.t, p.value);
+      out->timeseries[name] = std::move(snap);
+    }
+  }
+
+ private:
+  void OpenTrace(const std::string& dir, const runner::CellContext& cell) {
     std::filesystem::create_directories(dir);
     const std::string name = Sanitize(cell.figure) + "." +
                              Sanitize(cell.row_label) + "." +
@@ -286,15 +328,7 @@ class CellTraceStream {
     sink_.emplace(out_);
     tracer_->AddSink(&*sink_);
   }
-  ~CellTraceStream() {
-    if (tracer_) tracer_->RemoveSink(&*sink_);
-  }
-  CellTraceStream(const CellTraceStream&) = delete;
-  CellTraceStream& operator=(const CellTraceStream&) = delete;
 
-  obs::Tracer* tracer() { return tracer_ ? &*tracer_ : nullptr; }
-
- private:
   // Row/col labels may hold characters awkward in filenames ('%', '/', ...).
   static std::string Sanitize(const std::string& s) {
     std::string t = s;
@@ -305,6 +339,7 @@ class CellTraceStream {
     return t;
   }
 
+  obs::Registry registry_;
   std::ofstream out_;
   std::optional<obs::Tracer> tracer_;
   std::optional<obs::JsonlStreamSink> sink_;
@@ -367,20 +402,14 @@ inline runner::GridSpec TreeSizeSweepSpec(const BenchEnv& env,
     // incident breakdown ride along in the results JSON (schema v3); the
     // profiler -- wall clock, so never part of results or digests -- merges
     // process-wide.
-    obs::Registry reg;
-    config.registry = &reg;
-    config.timeseries_window_s = env.timeseries_window_s;
-    config.incident_analysis = true;
-    CellTraceStream trace(env.trace_dir, cell);
-    config.tracer = trace.tracer();
+    CellObservability observe(config, cell, env.timeseries_window_s,
+                              env.trace_dir);
     obs::SimProfiler prof;
     if (env.profile) config.profiler = &prof;
     const exp::Algorithm a = exp::AllAlgorithms()[cell.col];
     const exp::TreeScenarioResult r = exp::RunTreeScenario(env.Topo(), a, config);
     runner::CellResult out = TreeCellResult(r);
-    out.registry = reg.Flatten();
-    out.incidents = r.incidents;
-    ExportTimeSeries(reg, &out);
+    observe.Fill(r.incidents, &out);
     if (env.profile) obs::GlobalProfileAggregator().Merge(prof);
     return out;
   };

@@ -28,7 +28,6 @@
 #include "bench_common.h"
 #include "exp/chaos.h"
 #include "net/topology.h"
-#include "obs/registry.h"
 #include "runner/results.h"
 #include "runner/runner.h"
 #include "runner/topology_cache.h"
@@ -86,12 +85,8 @@ runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
       break;
   }
 
-  obs::Registry reg;
-  c.registry = &reg;
-  c.timeseries_window_s = opt.timeseries_window_s;
-  c.incident_analysis = true;
-  bench::CellTraceStream trace(opt.trace_dir, cell);
-  c.tracer = trace.tracer();
+  bench::CellObservability observe(c, cell, opt.timeseries_window_s,
+                                   opt.trace_dir);
   const exp::ChaosResult r = exp::RunChaosScenario(topo, c);
 
   runner::CellResult out;
@@ -111,9 +106,7 @@ runner::CellResult RunCell(const GridOptions& opt, const net::Topology& topo,
   out.metrics["wedged_leases"] = r.registry.at("chaos.wedged_leases");
   out.metrics["unrooted_members"] = static_cast<double>(r.unrooted_members);
   out.metrics["final_population"] = static_cast<double>(r.final_population);
-  out.registry = reg.Flatten();
-  out.incidents = r.incidents;
-  bench::ExportTimeSeries(reg, &out);
+  observe.Fill(r.incidents, &out);
   return out;
 }
 
@@ -167,27 +160,14 @@ int main(int argc, char** argv) {
     return RunCell(opt, topo, cell);
   };
 
-  runner::RunnerOptions options;
-  options.threads = flags.GetInt("threads");
-  options.base_seed = opt.seed;
-  options.progress = flags.GetBool("progress");
-  const std::string out_dir = flags.GetString("out");
-  const std::filesystem::path out_path =
-      out_dir.empty() ? std::filesystem::path{}
-                      : std::filesystem::path(out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (flags.GetBool("resume") && !out_dir.empty() &&
-      bench::LoadResumeFile(out_path, spec.figure, &resume_doc))
-    options.resume = &resume_doc;
-
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = "degraded_grid";
-  info.git_sha = bench::GitSha();
-  info.base_seed = opt.seed;
-  info.warmup_s = opt.warmup_s;
-  info.measure_s = opt.stream_s;
-  const runner::ResultsSink sink(spec, info, std::move(summary));
+  const runner::ResultsSink sink = bench::RunGridBench(
+      spec,
+      {.threads = flags.GetInt("threads"), .base_seed = opt.seed,
+       .progress = flags.GetBool("progress")},
+      {.scale = "degraded_grid", .git_sha = bench::GitSha(),
+       .base_seed = opt.seed, .warmup_s = opt.warmup_s,
+       .measure_s = opt.stream_s},
+      flags.GetString("out"), flags.GetBool("resume"));
 
   bench::PrintMetricTable(spec, sink, "degraded_time_fraction", 4,
                           "degraded-session time fraction (headline)");
@@ -214,26 +194,8 @@ int main(int argc, char** argv) {
   // Health gate: the grid run itself fails if any cell wedged a lease or
   // left a re-entry unresolved, so CI smoke catches regressions without
   // parsing tables.
-  bool healthy = true;
-  for (std::size_t row = 0; row < spec.rows.size(); ++row)
-    for (std::size_t col = 0; col < spec.cols.size(); ++col) {
-      if (sink.Stat(row, col, "wedged_leases").mean() != 0.0 ||
-          sink.Stat(row, col, "reentries_pending").mean() != 0.0)
-        healthy = false;
-    }
-  if (!healthy) {
-    std::cerr << "[degraded_grid] HEALTH GATE FAILED: wedged leases or "
-                 "unresolved re-entries\n";
-    return 1;
-  }
-
-  if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
-    if (!sink.WriteJson(out_path.string())) {
-      std::cerr << "[degraded_grid] FAILED to write " << out_path << "\n";
-      return 1;
-    }
-    std::cerr << "[degraded_grid] wrote " << out_path << "\n";
-  }
-  return 0;
+  return bench::HealthGate(spec, sink, 0,
+                           {"wedged_leases", "reentries_pending"})
+             ? 0
+             : 1;
 }

@@ -27,7 +27,6 @@
 //   ./bench/scale_sweep [--sizes=100000,1000000] [--duration=60]
 //                       [--baseline-max=100000] [--out=results]
 #include <cstdint>
-#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -175,27 +174,13 @@ int main(int argc, char** argv) {
     return RunCell(opt, cell);
   };
 
-  runner::RunnerOptions options;
-  options.threads = 1;  // cells are memory-heavy; never overlap them
-  options.base_seed = opt.seed;
-  options.progress = opt.progress;
-  const std::filesystem::path out_path =
-      opt.out_dir.empty()
-          ? std::filesystem::path{}
-          : std::filesystem::path(opt.out_dir) / (spec.figure + ".json");
-  runner::Json resume_doc;
-  if (opt.resume && !opt.out_dir.empty() &&
-      bench::LoadResumeFile(out_path, spec.figure, &resume_doc))
-    options.resume = &resume_doc;
-
-  runner::GridRunSummary summary = runner::RunGrid(spec, options);
-  runner::RunInfo info;
-  info.scale = "scale_sweep";
-  info.git_sha = bench::GitSha();
-  info.base_seed = opt.seed;
-  info.warmup_s = 0.0;
-  info.measure_s = opt.duration_s;
-  const runner::ResultsSink sink(spec, info, std::move(summary));
+  const runner::ResultsSink sink = bench::RunGridBench(
+      spec,
+      // Cells are memory-heavy; never overlap them.
+      {.threads = 1, .base_seed = opt.seed, .progress = opt.progress},
+      {.scale = "scale_sweep", .git_sha = bench::GitSha(),
+       .base_seed = opt.seed, .warmup_s = 0.0, .measure_s = opt.duration_s},
+      opt.out_dir, opt.resume);
 
   const std::vector<bench::MetricColumn> columns = {
       {"events", "events", 0},
@@ -222,14 +207,5 @@ int main(int argc, char** argv) {
                     base > 0.0 ? util::FormatDouble(fast / base, 2) : "-"});
   }
   speedup.Print(std::cout, "hot-path throughput (events per wall second)");
-
-  if (!opt.out_dir.empty()) {
-    std::filesystem::create_directories(opt.out_dir);
-    if (!sink.WriteJson(out_path.string())) {
-      std::cerr << "[scale_sweep] FAILED to write " << out_path << "\n";
-      return 1;
-    }
-    std::cerr << "[scale_sweep] wrote " << out_path << "\n";
-  }
   return 0;
 }

@@ -7,15 +7,11 @@
 // Useful for parameter exploration beyond the fixed figure benches.
 #include <initializer_list>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "exp/scenario.h"
-#include "metrics/collectors.h"
 #include "net/topology.h"
-#include "overlay/gossip.h"
-#include "sim/simulator.h"
 #include "stream/streaming.h"
 #include "util/flags.h"
 
@@ -32,7 +28,8 @@ T ParseChoice(const util::FlagSet& flags, const std::string& flag,
   std::string valid;
   for (const auto& [name, choice] : choices) {
     if (value == name) return choice;
-    valid += (valid.empty() ? "" : "|") + std::string(name);
+    if (!valid.empty()) valid += '|';
+    valid += name;
   }
   std::cerr << "unknown " << flag << " '" << value << "' (" << valid << ")\n";
   std::exit(1);
@@ -84,64 +81,46 @@ int main(int argc, char** argv) {
   rnd::Rng topo_rng(static_cast<std::uint64_t>(flags.GetInt("seed")) ^ 0x70706fULL);
   const net::Topology topology = net::Topology::Generate(topology_params, topo_rng);
 
-  core::RostParams rost;
-  rost.switching_interval_s = flags.GetDouble("rost-interval");
-  rost.use_referees = flags.GetBool("rost-referees");
+  exp::ScenarioConfig config;
+  config.population = flags.GetInt("population");
+  config.warmup_s = flags.GetDouble("warmup");
+  config.measure_s = flags.GetDouble("measure");
+  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+  config.rost.switching_interval_s = flags.GetDouble("rost-interval");
+  config.rost.use_referees = flags.GetBool("rost-referees");
+  config.use_gossip = flags.GetBool("gossip");
+  const exp::TreeScenarioResult tree =
+      exp::RunTreeScenario(topology, algorithm, config);
 
-  sim::Simulator sim;
-  overlay::Session session(sim, topology, exp::MakeProtocol(algorithm, rost),
-                           overlay::SessionParams{},
-                           static_cast<std::uint64_t>(flags.GetInt("seed")));
-  std::unique_ptr<overlay::GossipService> gossip;
-  if (flags.GetBool("gossip")) {
-    gossip = std::make_unique<overlay::GossipService>(
-        session, overlay::GossipParams{}, 0x905517);
-    session.SetMembershipOracle(gossip.get());
-  }
-  std::unique_ptr<stream::StreamingLayer> streaming;
-  if (flags.GetBool("stream")) {
+  // The streaming layer rides a second run of the same scenario.
+  double starving = 0.0;
+  const bool with_stream = flags.GetBool("stream");
+  if (with_stream) {
     stream::StreamParams sp;
     sp.recovery_group_size = flags.GetInt("group");
     sp.buffer_s = flags.GetDouble("buffer");
     sp.selection = selection;
     sp.mode = mode;
-    streaming = std::make_unique<stream::StreamingLayer>(session, sp, 0x57BEA);
+    starving = 100.0 * exp::RunStreamScenario(topology, algorithm, config, sp)
+                           .avg_starving_ratio;
   }
 
-  metrics::MemberOutcomes outcomes(session);
-  metrics::TreeSnapshots snapshots(session, 300.0);
-  const double warmup = flags.GetDouble("warmup");
-  const double end = warmup + flags.GetDouble("measure");
-  outcomes.SetWindow(warmup, end);
-  snapshots.Start(warmup, end);
-  if (streaming) streaming->SetMeasurementWindow(warmup, end);
-
-  const int population = flags.GetInt("population");
-  session.Prepopulate(population);
-  session.StartArrivals(population / rnd::kMeanLifetimeSeconds);
-  sim.RunUntil(end);
-  outcomes.HarvestAliveMembers();
-
-  const double starving =
-      streaming ? 100.0 * streaming->ratio_stat().mean() : 0.0;
   if (csv) {
     std::cout << "algorithm,population,disruptions,reconnections,delay_ms,"
                  "stretch,depth,starving_pct\n"
-              << flags.GetString("algorithm") << ',' << population << ','
-              << outcomes.disruptions().mean() << ','
-              << outcomes.reconnections().mean() << ','
-              << snapshots.delay_ms().mean() << ','
-              << snapshots.stretch().mean() << ','
-              << snapshots.depth().mean() << ',' << starving << '\n';
+              << flags.GetString("algorithm") << ',' << config.population
+              << ',' << tree.avg_disruptions << ',' << tree.avg_reconnections
+              << ',' << tree.avg_delay_ms << ',' << tree.avg_stretch << ','
+              << tree.avg_depth << ',' << starving << '\n';
   } else {
-    std::cout << flags.GetString("algorithm") << " @ " << population
+    std::cout << flags.GetString("algorithm") << " @ " << config.population
               << " members (" << flags.GetString("topology") << " topology)\n"
-              << "  disruptions/node:  " << outcomes.disruptions().mean()
-              << "\n  reconnects/node:   " << outcomes.reconnections().mean()
-              << "\n  service delay:     " << snapshots.delay_ms().mean()
-              << " ms\n  stretch:           " << snapshots.stretch().mean()
-              << "\n  tree depth:        " << snapshots.depth().mean() << "\n";
-    if (streaming)
+              << "  disruptions/node:  " << tree.avg_disruptions
+              << "\n  reconnects/node:   " << tree.avg_reconnections
+              << "\n  service delay:     " << tree.avg_delay_ms
+              << " ms\n  stretch:           " << tree.avg_stretch
+              << "\n  tree depth:        " << tree.avg_depth << "\n";
+    if (with_stream)
       std::cout << "  starving ratio:    " << starving << " % (group "
                 << flags.GetInt("group") << ", "
                 << flags.GetString("selection") << ", "

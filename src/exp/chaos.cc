@@ -82,12 +82,12 @@ void CollectChaosRegistry(obs::Registry& reg, const overlay::Session& session,
                      ? heartbeat->detection_latency().mean()
                      : 0.0);
   }
+  count("chaos.wedged_leases", session.protocol().WedgedLeases(now));
   if (rost != nullptr) {
     count("chaos.leases_granted", rost->leases_granted());
     count("chaos.leases_released", rost->leases_released());
     count("chaos.leases_expired", rost->leases_expired());
     count("chaos.leases_outstanding", rost->leases_outstanding());
-    count("chaos.wedged_leases", rost->WedgedLeases(now));
     count("chaos.lock_timeouts", rost->lock_timeouts());
     count("chaos.lock_retries", rost->lock_retries());
     count("chaos.handshake_aborts", rost->handshake_aborts());
@@ -121,6 +121,28 @@ void CollectChaosRegistry(obs::Registry& reg, const overlay::Session& session,
 
 }  // namespace
 
+void AuditPlacement(overlay::Session& session,
+                    const std::vector<NodeId>& adrift, ChaosResult* r) {
+  const overlay::Tree& tree = session.tree();
+  long spare = 0;
+  for (NodeId m : session.alive_members())
+    if (tree.IsRooted(m)) spare += tree.SpareCapacity(m);
+  for (NodeId id : adrift) {
+    // Only a detached fragment root can attach (the source is rooted and
+    // parentless); a member below a fragment root rejoins with it.
+    if (!tree.Alive(id) || tree.Parent(id) != kNoNode || tree.IsRooted(id))
+      continue;
+    if (session.protocol().TryAttach(session, id)) {
+      spare += tree.Capacity(id) - 1;
+      continue;
+    }
+    if (spare > 0)
+      ++r->unrooted_members;
+    else
+      ++r->capacity_starved;
+  }
+}
+
 ChaosResult RunChaosScenario(const net::Topology& topology,
                              const ChaosConfig& config) {
   overlay::SessionParams sp = config.session;
@@ -141,12 +163,7 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
     heartbeat.emplace(session, config.heartbeat, config.seed ^ 0xbea7ULL,
                       &fault_plane);
 
-  std::optional<overlay::GossipService> gossip;
-  if (config.use_gossip) {
-    gossip.emplace(session, config.gossip, config.seed ^ 0x60551bULL);
-    gossip->SetFaultPlane(&fault_plane);
-    session.SetMembershipOracle(&*gossip);
-  }
+  if (run.gossip() != nullptr) run.gossip()->SetFaultPlane(&fault_plane);
 
   stream::PacketLevelStream stream(session, config.packet,
                                    config.seed ^ 0x5151ULL);
@@ -286,40 +303,18 @@ ChaosResult RunChaosScenario(const net::Topology& topology,
   for (NodeId id : session.alive_members())
     if (!session.tree().IsRooted(id)) adrift.push_back(id);
   simulator.RunUntil(simulator.now() + config.settle_s);
-  // Final placement audit. A member still adrift here may simply be
-  // mid-backoff behind a slot that freed moments ago, so it gets one
-  // immediate attach attempt. Only a member the protocol refuses NOW is
-  // classified: stranded (unrooted_members) when the rooted tree still had
-  // spare slots it failed to use, capacity-starved when the tree was full
-  // -- after a correlated kill the heavy-tailed capacity mix can leave
-  // genuinely unplaceable members, which measures the workload, not the
-  // protocol.
-  long spare = 0;
-  for (NodeId m : session.alive_members())
-    if (session.tree().IsRooted(m)) spare += session.tree().SpareCapacity(m);
-  for (NodeId id : adrift) {
-    if (!session.tree().Alive(id) || session.tree().IsRooted(id)) continue;
-    if (session.protocol().TryAttach(session, id)) {
-      spare += session.tree().Capacity(id) - 1;
-      continue;
-    }
-    if (spare > 0)
-      ++r.unrooted_members;
-    else
-      ++r.capacity_starved;
-  }
+  AuditPlacement(session, adrift, &r);
 
   const sim::Time now = simulator.now();
   CollectChaosRegistry(reg, session, fault_plane,
                        heartbeat ? &*heartbeat : nullptr, run.rost(),
-                       gossip ? &*gossip : nullptr, stream, now);
+                       run.gossip(), stream, now);
   r.incidents = run.Finish(&reg);
   r.registry = reg.Flatten();
   if (config.registry != nullptr) config.registry->MergeFrom(reg);
   r.avg_starving_ratio = stream.ratio_stat().mean();
   r.ci95 = stream.ratio_stat().ci95_half_width();
   r.members = static_cast<int>(stream.ratio_stat().count());
-  r.zero_wedged_locks = session.protocol().WedgedLeases(now) == 0;
   r.final_population = session.alive_count();
   r.episodes_started = fault_plane.episodes_started();
   r.reentries_pending = session.reentries_pending();

@@ -27,9 +27,9 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "exp/scenario.h"
-#include "overlay/gossip.h"
 #include "overlay/heartbeat.h"
 #include "sim/fault_plane.h"
 #include "stream/packet_sim.h"
@@ -62,8 +62,6 @@ struct ChaosConfig : RunConfig {
 
   bool use_heartbeats = true;  // heartbeat detection instead of the oracle
   overlay::HeartbeatParams heartbeat;
-  bool use_gossip = false;  // real gossip membership over the fault plane
-  overlay::GossipParams gossip;
 
   // --- failure injection (times relative to stream start; <0 disables) ----
   // Correlated kill: every member hosted in stub domain `domain_kill_index`
@@ -141,13 +139,13 @@ struct ChaosResult {
   long reentries_pending = 0;
 
   // --- post-drain health ---------------------------------------------------
-  // No lease is held past its expiry (a wedged lock would deadlock
-  // switching forever). Must always be true.
-  bool zero_wedged_locks = false;
-  // Members unrooted at drain end that were still alive, unrooted after the
-  // settle window, AND refused by the final placement audit while the
-  // rooted tree had spare capacity: orphans the protocol failed to
-  // reattach. Stranded-orphan health gates run on this field.
+  // Leases held past their expiry (a wedged lock would deadlock switching
+  // forever) are "chaos.wedged_leases" in `registry`; must always be 0.
+  // Members unrooted at drain end that were still alive, detached fragment
+  // roots after the settle window, AND refused by the final placement
+  // audit (AuditPlacement) while the rooted tree had spare capacity:
+  // orphans the protocol failed to reattach. Stranded-orphan health gates
+  // run on this field.
   int unrooted_members = 0;
   // Members the audit could not place because the rooted tree had zero
   // spare slots: with a heavy-tailed capacity mix the overlay can be
@@ -160,5 +158,19 @@ struct ChaosResult {
 
 ChaosResult RunChaosScenario(const net::Topology& topology,
                              const ChaosConfig& config);
+
+// The chaos runner's final placement audit over the members found adrift
+// at drain end. A member still adrift after the settle window may simply
+// be mid-backoff behind a slot that freed moments ago, so each detached
+// fragment root among them (Parent == kNoNode; its descendants rejoin with
+// it) gets one immediate attach attempt. Only a member the protocol
+// refuses NOW is classified: stranded when the rooted tree still had spare
+// slots it failed to use, capacity-starved when the tree was full -- after
+// a correlated kill the heavy-tailed capacity mix can leave genuinely
+// unplaceable members, which measures the workload, not the protocol.
+// Adds the refusals to r->unrooted_members and r->capacity_starved.
+void AuditPlacement(overlay::Session& session,
+                    const std::vector<overlay::NodeId>& adrift,
+                    ChaosResult* r);
 
 }  // namespace omcast::exp

@@ -20,6 +20,10 @@ ScenarioRun::ScenarioRun(const net::Topology& topology, Algorithm algorithm,
       tracer_(config.tracer) {
   if (algorithm == Algorithm::kRost)
     rost_ = static_cast<core::RostProtocol*>(&session_.protocol());
+  if (config.use_gossip) {
+    gossip_.emplace(session_, config.gossip, config.seed ^ 0x90551BULL);
+    session_.SetMembershipOracle(&*gossip_);
+  }
   // Incident analysis rides the live trace stream; only the stream
   // matters, so a run-local tracer keeps a single ring slot.
   if (config.incident_analysis && tracer_ == nullptr) {

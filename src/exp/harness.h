@@ -18,6 +18,7 @@
 #include "exp/scenario.h"
 #include "obs/incident.h"
 #include "obs/trace.h"
+#include "overlay/gossip.h"
 #include "sim/simulator.h"
 
 namespace omcast::exp {
@@ -25,10 +26,11 @@ namespace omcast::exp {
 class ScenarioRun {
  public:
   // Builds the Simulator, then the protocol for `algorithm`, then the
-  // Session over `session_params`. Traces go to config.tracer or, when
-  // only incident analysis needs the stream, to a 1-slot tracer local to
-  // the run; config.profiler brackets every dispatch. `config` must
-  // outlive the run.
+  // Session over `session_params`, then, with config.use_gossip, the
+  // gossip service (seeded config.seed ^ 0x90551B) as the session's
+  // membership oracle. Traces go to config.tracer or, when only incident
+  // analysis needs the stream, to a 1-slot tracer local to the run;
+  // config.profiler brackets every dispatch. `config` must outlive the run.
   ScenarioRun(const net::Topology& topology, Algorithm algorithm,
               const RunConfig& config,
               const overlay::SessionParams& session_params);
@@ -40,6 +42,8 @@ class ScenarioRun {
   overlay::Session& session() { return session_; }
   // The ROST protocol under test; null for every other algorithm.
   core::RostProtocol* rost() const { return rost_; }
+  // The gossip membership service; null unless config.use_gossip.
+  overlay::GossipService* gossip() { return gossip_ ? &*gossip_ : nullptr; }
 
   // Pre-populates the equilibrium session and starts Poisson arrivals at
   // lambda = population / mean lifetime (Little's law).
@@ -71,6 +75,7 @@ class ScenarioRun {
   sim::Simulator simulator_;
   overlay::Session session_;
   core::RostProtocol* rost_ = nullptr;
+  std::optional<overlay::GossipService> gossip_;
   std::optional<obs::Tracer> local_tracer_;
   obs::Tracer* tracer_ = nullptr;
   obs::IncidentLog incident_log_;

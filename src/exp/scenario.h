@@ -19,6 +19,7 @@
 
 #include "core/rost/rost.h"
 #include "net/topology.h"
+#include "overlay/gossip.h"
 #include "overlay/session.h"
 #include "proto/clique/clique.h"
 #include "stream/streaming.h"
@@ -64,6 +65,11 @@ struct RunConfig {
   core::RostParams rost;          // used when algorithm == kRost
   proto::CliqueParams clique;     // used when algorithm == kClique
   overlay::SessionParams session;
+  // Real gossip membership (overlay::GossipService, built by the harness
+  // right after the session) instead of uniform sampling from the live
+  // population; the chaos runner routes its exchanges over the fault plane.
+  bool use_gossip = false;
+  overlay::GossipParams gossip;
   // Pending-event set implementation. Both kinds dispatch in identical
   // (time, seq) order, so results and replay digests are unaffected; the
   // binary heap exists as the A/B baseline for bench/scale_sweep.

@@ -213,6 +213,7 @@ class Session {
   rnd::Rng& rng() { return rng_; }
   const SessionParams& params() const { return params_; }
   Protocol& protocol() { return *protocol_; }
+  const Protocol& protocol() const { return *protocol_; }
   SessionHooks& hooks() { return hooks_; }
 
   int alive_count() const { return static_cast<int>(alive_.size()); }

@@ -291,7 +291,6 @@ bool SameResult(const ChaosResult& a, const ChaosResult& b) {
 TEST(ChaosScenario, TinyRunSurvivesFlashAndMidRepairKills) {
   const net::Topology& topology = test::TinyTopology();
   const ChaosResult r = RunChaosScenario(topology, TinyChaosConfig(21));
-  EXPECT_TRUE(r.zero_wedged_locks);
   EXPECT_EQ(r.registry.at("chaos.wedged_leases"), 0);
   EXPECT_EQ(r.flash_members_killed, 5);
   EXPECT_GT(r.registry.at("chaos.heartbeats_sent"), 0);
@@ -317,6 +316,49 @@ TEST(ChaosScenario, SameSeedReplaysBitIdentically) {
   EXPECT_FALSE(SameResult(a, c)) << "the comparison is vacuous";
 }
 
+// Real gossip membership over a lossy plane: the harness-built gossip
+// service takes the fault plane, its stale slices are counted, and the run
+// replays and stays healthy.
+TEST(ChaosScenario, GossipOverLossyPlaneReplaysAndStaysHealthy) {
+  const net::Topology& topology = test::TinyTopology();
+  ChaosConfig c = TinyChaosConfig(41);
+  c.use_gossip = true;
+  c.fault.loss_rate = 0.05;
+  const ChaosResult a = RunChaosScenario(topology, c);
+  const ChaosResult b = RunChaosScenario(topology, c);
+  EXPECT_TRUE(SameResult(a, b)) << "gossip-on chaos runs diverged";
+  EXPECT_EQ(a.registry.at("chaos.wedged_leases"), 0);
+  EXPECT_EQ(a.unrooted_members, 0) << "orphans failed to reattach";
+  EXPECT_EQ(a.registry.count("chaos.stale_view_rejections"), 1u)
+      << "the gossip service is not the harness-built one";
+}
+
+// The final placement audit tries only detached fragment roots: a member
+// below one still has its parent, and attaching it again would abort in
+// Tree::Attach ("child already attached").
+TEST(PlacementAuditTest, TriesOnlyFragmentRoots) {
+  sim::Simulator sim;
+  Session session(sim, test::TinyTopology(),
+                  std::make_unique<proto::MinDepthProtocol>(), SessionParams{},
+                  5);
+  const NodeId a = session.InjectMember(2.0, 1e9);
+  const NodeId b = session.InjectMember(2.0, 1e9);
+  const NodeId c = session.InjectMember(2.0, 1e9);
+  sim.RunUntil(1.0);
+  Tree& tree = session.tree();
+  test::Reparent(tree, b, a);
+  test::Reparent(tree, c, b);
+  tree.Detach(a);  // fragment a <- b <- c, two levels below its root
+  // Deepest first, as the alive-member scan can list them.
+  ChaosResult r;
+  AuditPlacement(session, {c, b, a}, &r);
+  EXPECT_EQ(r.unrooted_members, 0);
+  EXPECT_EQ(r.capacity_starved, 0);
+  EXPECT_TRUE(tree.IsRooted(a));
+  EXPECT_EQ(tree.Parent(b), a);
+  EXPECT_EQ(tree.Parent(c), b);
+}
+
 // The PR's acceptance scenario: 500 members on the paper-scale topology,
 // 5% control-plane loss with duplication and jitter, plus a correlated
 // stub-domain kill early in the stream. The hardened protocol must finish
@@ -339,7 +381,6 @@ TEST(ChaosScenario, FiveHundredMembersSurviveLossAndDomainKill) {
   c.domain_kill_at_s = 5.0;
   c.domain_kill_index = 1;
   const ChaosResult r = RunChaosScenario(topology, c);
-  EXPECT_TRUE(r.zero_wedged_locks);
   EXPECT_EQ(r.registry.at("chaos.wedged_leases"), 0);
   EXPECT_EQ(r.unrooted_members, 0) << "orphans failed to reattach";
   EXPECT_GT(r.domain_members_killed, 0);
@@ -384,7 +425,7 @@ TEST(ChaosScenario, FlashCrowdSurvivesMidTakeoverServerDeath) {
   EXPECT_GT(r.registry.at("chaos.stripe_failovers"), 0)
       << "the mid-takeover failover no longer fires; the regression is "
          "vacuous";
-  EXPECT_TRUE(r.zero_wedged_locks);
+  EXPECT_EQ(r.registry.at("chaos.wedged_leases"), 0);
   EXPECT_EQ(r.unrooted_members, 0) << "orphans failed to reattach";
   EXPECT_EQ(r.reentries_pending, 0);
   EXPECT_GT(r.final_population, 0);

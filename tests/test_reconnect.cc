@@ -303,7 +303,6 @@ TEST(ReconnectStorm, ResolvesEveryReentryWithoutWedgingLeases) {
   c.reconnect_storm_fraction = 0.2;
   c.reconnect_downtime_mean_s = 5.0;
   const exp::ChaosResult r = exp::RunChaosScenario(topology, c);
-  EXPECT_TRUE(r.zero_wedged_locks);
   EXPECT_EQ(r.registry.at("chaos.wedged_leases"), 0);
   // >= 10% of the nominal population actually went through the storm.
   EXPECT_GE(r.reconnect_storm_killed, 6);

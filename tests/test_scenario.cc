@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
+#include "test_support.h"
 
 namespace omcast::exp {
 namespace {
@@ -34,6 +35,27 @@ TEST(Scenario, DeterministicForFixedSeed) {
   EXPECT_EQ(a.avg_disruptions, b.avg_disruptions);
   EXPECT_EQ(a.avg_delay_ms, b.avg_delay_ms);
   EXPECT_EQ(a.qualifying_members, b.qualifying_members);
+  EXPECT_EQ(a.rost_switches, b.rost_switches);
+}
+
+// Real gossip membership, built by the harness as the session's oracle.
+TEST(Scenario, GossipRunReplaysBitIdentically) {
+  const net::Topology& topology = test::TinyTopology();
+  ScenarioConfig c;
+  c.population = 60;
+  c.warmup_s = 600.0;
+  c.measure_s = 900.0;
+  c.seed = 7;
+  // A capped root gives the tree depth, so discovery has work to do.
+  c.session.root_bandwidth = 5.0;
+  c.use_gossip = true;
+  const auto a = RunTreeScenario(topology, Algorithm::kRost, c);
+  const auto b = RunTreeScenario(topology, Algorithm::kRost, c);
+  EXPECT_GT(a.qualifying_members, 0);
+  EXPECT_GT(a.avg_disruptions, 0.0) << "the replay comparison is vacuous";
+  EXPECT_EQ(a.disruption_samples, b.disruption_samples);
+  EXPECT_EQ(a.avg_delay_ms, b.avg_delay_ms);
+  EXPECT_EQ(a.avg_reconnections, b.avg_reconnections);
   EXPECT_EQ(a.rost_switches, b.rost_switches);
 }
 

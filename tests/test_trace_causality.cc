@@ -214,7 +214,7 @@ TEST(TraceCausality, ScenarioStayedHealthy) {
   // The chaos harness's own invariants must hold with tracing attached
   // (instrumentation cannot perturb the run).
   const TraceFixture& f = Fixture();
-  EXPECT_TRUE(f.result.zero_wedged_locks);
+  EXPECT_EQ(f.result.registry.at("chaos.wedged_leases"), 0);
   EXPECT_EQ(f.result.unrooted_members, 0);
 }
 
