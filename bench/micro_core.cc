@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <vector>
 
 #include "core/cer/mlc.h"
 #include "core/cer/partial_tree.h"
@@ -93,6 +94,33 @@ void BM_QueueCancelAtScale(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueueCancelAtScale)->Apply(QueueScaleArgs);
+
+// The heartbeat-monitor pattern: every delivered beat cancels its child's
+// suspicion deadline and re-arms it 4 s out. n monitors pend; each member
+// beats once per simulated second, in turn, and the clock advances a second
+// per round (which also sweeps the binary heap's cancelled tombstones).
+void BM_QueueRearmAtScale(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  sim::Simulator sim(KindArg(state));
+  const double step = 1.0 / n;
+  std::vector<sim::EventId> monitor(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    monitor[static_cast<std::size_t>(i)] =
+        sim.ScheduleAt(4.0 + i * step, [] {}, "bench.monitor");
+  int i = 0;
+  for (auto _ : state) {
+    sim::EventId& id = monitor[static_cast<std::size_t>(i)];
+    benchmark::DoNotOptimize(sim.Cancel(id));
+    id = sim.ScheduleAt(sim.now() + i * step + 4.0, [] {}, "bench.monitor");
+    benchmark::DoNotOptimize(id);
+    if (++i == n) {
+      i = 0;
+      sim.RunUntil(sim.now() + 1.0);  // every deadline is >= 3 s further
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QueueRearmAtScale)->Apply(QueueScaleArgs);
 
 void BM_QueueDispatchAtScale(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

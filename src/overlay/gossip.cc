@@ -78,6 +78,15 @@ std::vector<GossipService::Entry> GossipService::SampleSlice(NodeId member) {
 void GossipService::Merge(NodeId member, const std::vector<Entry>& incoming) {
   View& view = ViewFor(member);
   const double now = session_.simulator().now();
+  // Stamp the view's positions into the epoch index, last to first so the
+  // first entry per id wins (as a linear find would), then resolve each
+  // incoming id in O(1).
+  if (++index_epoch_ == 0) {  // wrapped: stale stamps could collide
+    std::fill(index_stamp_.begin(), index_stamp_.end(), 0U);
+    index_epoch_ = 1;
+  }
+  for (std::size_t i = view.entries.size(); i-- > 0;)
+    StampIndex(view.entries[i].id, i);
   for (const Entry& in : incoming) {
     // Refuse entries that are already past the TTL: without this filter
     // stale records circulate between views as an epidemic, re-entering
@@ -86,17 +95,16 @@ void GossipService::Merge(NodeId member, const std::vector<Entry>& incoming) {
       ++stale_rejections_;
       continue;
     }
-    if (in.id == member || in.id == kRootId) {
-      if (in.id == member) continue;
-      // The source is implicitly known (bootstrap); keep it out of views so
-      // every view slot carries information.
-      continue;
-    }
-    auto it = std::find_if(view.entries.begin(), view.entries.end(),
-                           [&](const Entry& e) { return e.id == in.id; });
-    if (it != view.entries.end()) {
-      it->heard_at = std::max(it->heard_at, in.heard_at);
+    // Skip self-records and the source: the source is implicitly known
+    // (bootstrap), so keeping it out of views makes every slot carry
+    // information.
+    if (in.id == member || in.id == kRootId) continue;
+    const auto idx = static_cast<std::size_t>(in.id);
+    if (idx < index_stamp_.size() && index_stamp_[idx] == index_epoch_) {
+      Entry& e = view.entries[index_pos_[idx]];
+      e.heard_at = std::max(e.heard_at, in.heard_at);
     } else {
+      StampIndex(in.id, view.entries.size());
       view.entries.push_back(in);
     }
   }
@@ -109,6 +117,17 @@ void GossipService::Merge(NodeId member, const std::vector<Entry>& incoming) {
                      });
     view.entries.resize(static_cast<std::size_t>(params_.view_size));
   }
+}
+
+void GossipService::StampIndex(NodeId id, std::size_t pos) {
+  OMCAST_DCHECK(id >= 0, "gossip entries name real members");
+  const auto idx = static_cast<std::size_t>(id);
+  if (idx >= index_stamp_.size()) {
+    index_stamp_.resize(idx + 1, 0U);
+    index_pos_.resize(idx + 1, 0U);
+  }
+  index_stamp_[idx] = index_epoch_;
+  index_pos_[idx] = static_cast<std::uint32_t>(pos);
 }
 
 void GossipService::Tick(NodeId member) {

@@ -20,6 +20,7 @@
 // join/recovery discovery over these views instead of uniform sampling.
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -88,6 +89,8 @@ class GossipService final : public MembershipOracle {
   // Merges `incoming` into `member`'s view: freshest record per id wins,
   // oldest entries are dropped beyond view_size, self-records are ignored.
   void Merge(NodeId member, const std::vector<Entry>& incoming);
+  // Records that `id` sits at `pos` of the view being merged (this epoch).
+  void StampIndex(NodeId id, std::size_t pos);
   std::vector<Entry> SampleSlice(NodeId member);
   void Prune(View& view, double now);
 
@@ -100,6 +103,12 @@ class GossipService final : public MembershipOracle {
   // nondeterministic bucket order cannot leak into gossip decisions.
   // omcast-lint: allow(unordered-iter)
   std::unordered_map<NodeId, View> views_;
+  // Merge's id -> view position index, shared by all views: an entry is
+  // valid only while its stamp equals the current merge's epoch, so no
+  // merge ever clears it. Indexed by NodeId, grown on demand.
+  std::vector<std::uint32_t> index_stamp_;
+  std::vector<std::uint32_t> index_pos_;
+  std::uint32_t index_epoch_ = 0;
   sim::FaultPlane* fault_plane_ = nullptr;  // nullptr: synchronous exchange
   long exchanges_ = 0;
   long dead_contacts_ = 0;

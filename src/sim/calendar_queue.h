@@ -17,10 +17,11 @@
 //
 // Cancellation is EAGER: Erase() unlinks the chain node and frees the slot
 // immediately, so occupancy tracks the live event count and size() is exact.
-// The id -> slot mapping needed for cancellation is an open-addressing table
-// with backward-shift deletion -- deterministic, iteration-free and
-// allocation-free at steady state (std::unordered_* would heap-allocate a
-// node per pending event, which is precisely the churn this queue removes).
+// Insert() returns the slab slot it used and the caller keeps it next to the
+// id (sim::EventId carries both), so cancellation needs no id -> slot index:
+// Erase() and Contains() just check that the slot still holds that id.
+// FreeSlot() zeroes the id and ids are never reused, so a stale handle whose
+// slot has since been recycled can never match.
 //
 // Determinism: width estimation and resizing depend only on the pending set
 // (sampled time gaps and operation counters), never on wall clock or RNG, so
@@ -56,16 +57,18 @@ class CalendarQueue {
   CalendarQueue(const CalendarQueue&) = delete;
   CalendarQueue& operator=(const CalendarQueue&) = delete;
 
-  // Inserts an event. (time, seq) must be unique per event (seq strictly
-  // increasing across all inserts); `id` must not currently be pending.
-  void Insert(Time time, std::uint64_t seq, std::uint64_t id, const char* tag,
-              Callback cb);
+  // Inserts an event and returns the slab slot it occupies. (time, seq) must
+  // be unique per event (seq strictly increasing across all inserts); `id`
+  // must be nonzero and never reused.
+  std::int32_t Insert(Time time, std::uint64_t seq, std::uint64_t id,
+                      const char* tag, Callback cb);
 
-  // Removes the pending event `id`. Returns false if no such event pends.
-  bool Erase(std::uint64_t id);
+  // Removes the pending event `id` that Insert() placed in `slot`. Returns
+  // false if no such event pends (fired, cancelled, or a bogus slot).
+  bool Erase(std::uint64_t id, std::int32_t slot);
 
-  // True if `id` is pending.
-  bool Contains(std::uint64_t id) const;
+  // True if the event `id` that Insert() placed in `slot` is pending.
+  bool Contains(std::uint64_t id, std::int32_t slot) const;
 
   // Time of the earliest pending event. Requires !empty().
   Time PeekTime();
@@ -84,7 +87,7 @@ class CalendarQueue {
     Callback cb;
     Time time = 0.0;
     std::uint64_t seq = 0;
-    std::uint64_t id = 0;
+    std::uint64_t id = 0;       // 0 while the slot is free
     const char* tag = nullptr;  // profiling label; not owned
     // Doubly-linked chain of equal-time events in one bucket Entry, in
     // insertion (= seq) order. While the slot is on the free list, `next`
@@ -99,10 +102,6 @@ class CalendarQueue {
     Time time = 0.0;
     std::int32_t head = -1;
     std::int32_t tail = -1;
-  };
-  struct MapCell {
-    std::uint64_t id = 0;   // 0 = empty (the simulator never issues id 0)
-    std::int32_t slot = -1;
   };
 
   std::int32_t AllocSlot();
@@ -120,13 +119,6 @@ class CalendarQueue {
   void MaybeResizeAfterInsert();
   void MaybeResizeAfterErase();
 
-  // id -> slot open-addressing table (linear probing, backward-shift
-  // deletion). Capacity is a power of two >= 2 * live.
-  void MapInsert(std::uint64_t id, std::int32_t slot);
-  // Returns the slot for `id`, or -1. If `erase`, removes the mapping.
-  std::int32_t MapFind(std::uint64_t id, bool erase);
-  void MapGrow();
-
   std::vector<Event> slab_;
   std::int32_t free_head_ = -1;
   std::vector<std::vector<Entry>> buckets_;
@@ -137,9 +129,6 @@ class CalendarQueue {
   // drained. Inserts rewind it; FindMinBucket advances it.
   std::uint64_t cur_day_ = 0;
   std::size_t live_ = 0;
-  std::vector<MapCell> map_;
-  std::size_t map_mask_ = 0;
-  std::size_t map_used_ = 0;
   // Scan-cost trigger: a calendar whose width no longer matches the live
   // distribution walks many empty buckets per pop; when the walk-to-pop
   // ratio degenerates the queue re-estimates the width. Counts, not clocks.

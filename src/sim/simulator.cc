@@ -13,11 +13,12 @@ EventId Simulator::ScheduleAt(Time t, Callback cb, const char* tag) {
   OMCAST_DCHECK(t == t, "event time must not be NaN");
   const std::uint64_t id = next_id_++;
   if (kind_ == QueueKind::kCalendar) {
-    calendar_.Insert(t, next_seq_++, id, tag, std::move(cb));
-  } else {
-    queue_.push(Event{t, next_seq_++, id, tag, std::move(cb)});
-    pending_.insert(id);
+    const std::int32_t slot =
+        calendar_.Insert(t, next_seq_++, id, tag, std::move(cb));
+    return EventId{id, slot};
   }
+  queue_.push(Event{t, next_seq_++, id, tag, std::move(cb)});
+  pending_.insert(id);
   return EventId{id};
 }
 
@@ -31,18 +32,14 @@ bool Simulator::Cancel(EventId id) {
   // the caller (a stale copy from another simulator, or uninitialized state);
   // kInvalidEventId is the documented "nothing scheduled" value and is fine.
   OMCAST_DCHECK(id.value < next_id_, "Cancel: event id was never issued");
-  if (kind_ == QueueKind::kCalendar) {
-    if (id.value == 0) return false;
-    return calendar_.Erase(id.value);
-  }
+  if (kind_ == QueueKind::kCalendar) return calendar_.Erase(id.value, id.slot);
   return pending_.erase(id.value) > 0;
 }
 
 bool Simulator::IsPending(EventId id) const {
   OMCAST_DCHECK(id.value < next_id_, "IsPending: event id was never issued");
-  if (kind_ == QueueKind::kCalendar) {
-    return id.value != 0 && calendar_.Contains(id.value);
-  }
+  if (kind_ == QueueKind::kCalendar)
+    return calendar_.Contains(id.value, id.slot);
   return pending_.contains(id.value);
 }
 

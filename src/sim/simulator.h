@@ -20,7 +20,9 @@
 // this on real scenario cells.
 //
 // Cancellation is by EventId: timers such as ROST's per-node switching checks
-// or CER repair timeouts are cancelled when the owning node departs.
+// or CER repair timeouts are cancelled when the owning node departs. In
+// calendar mode the handle also carries the event's slab slot, so Cancel and
+// IsPending are one slot compare -- no id -> slot lookup on any path.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +41,12 @@ class SimProfiler;
 namespace omcast::sim {
 
 // Opaque handle for a scheduled event; value-semantic and cheap to copy.
+// `value` is the sequential id (what traces and replay digests hash);
+// `slot` is where the calendar queue stores the event, -1 in heap mode.
+// Equality compares `value` only.
 struct EventId {
   std::uint64_t value = 0;
+  std::int32_t slot = -1;
   friend bool operator==(EventId a, EventId b) { return a.value == b.value; }
 };
 

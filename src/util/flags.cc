@@ -9,6 +9,16 @@
 
 namespace omcast::util {
 
+namespace {
+
+// Word-form boolean literals only: "0"/"1" defaults are as likely counts.
+bool IsBoolWord(const std::string& s) {
+  return s == "true" || s == "false" || s == "yes" || s == "no" ||
+         s == "on" || s == "off";
+}
+
+}  // namespace
+
 FlagSet& FlagSet::Define(const std::string& name,
                          const std::string& default_value,
                          const std::string& help) {
@@ -30,24 +40,24 @@ bool FlagSet::Parse(int argc, char** argv) {
       return false;
     }
     arg = arg.substr(2);
-    std::string name;
-    std::string value;
-    if (const auto eq = arg.find('='); eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      // A following --flag is the next flag, not this one's value.
-      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-        std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
-        PrintUsage(argv[0]);
-        return false;
-      }
-      value = argv[++i];
-    }
+    const auto eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
     const auto it = flags_.find(name);
     if (it == flags_.end()) {
       std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      PrintUsage(argv[0]);
+      return false;
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      value = argv[++i];
+    } else if (IsBoolWord(it->second.default_value)) {
+      value = "true";  // bare boolean switch
+    } else {
+      // A following --flag is the next flag, not this one's value.
+      std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
       PrintUsage(argv[0]);
       return false;
     }

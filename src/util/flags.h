@@ -1,6 +1,8 @@
 // Minimal command-line flag parser for the bench/example binaries.
 // Accepts `--name=value` and `--name value` (a following `--flag` is never
-// taken as a value); `--help` prints registered flags. Malformed values
+// taken as a value). A bare `--name` -- last, or before another `--flag` --
+// sets "true" if the flag's default is a word boolean (true/false, yes/no,
+// on/off); any other flag needs a value. `--help` prints registered flags. Malformed values
 // fail loudly: the typed accessors abort rather than guess. No global
 // state: each binary builds one `FlagSet`.
 #pragma once
@@ -19,7 +21,7 @@ class FlagSet {
                   const std::string& help);
 
   // Parses argv. Returns false (after printing usage) on unknown flags,
-  // missing values (`--x` last, or followed by another `--flag`), or
+  // missing values (a bare `--x` whose default is not a word boolean), or
   // --help.
   bool Parse(int argc, char** argv);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <utility>
 #include <vector>
 
 namespace omcast::sim {
@@ -144,6 +147,133 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   s.Run();
   // The zero-delay event lands after the already-queued same-time event.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+// Handle semantics under both queue kinds. The calendar queue recycles slab
+// slots through a LIFO free list, so the event scheduled right after one
+// fires or is cancelled lands in that event's slot: the old handle must not
+// reach the new event.
+class SimulatorHandles : public ::testing::TestWithParam<QueueKind> {};
+
+TEST_P(SimulatorHandles, FiredHandleMissesTheEventThatReusedItsSlot) {
+  Simulator s(GetParam());
+  const EventId a = s.ScheduleAt(1.0, [] {});
+  s.Run();
+  bool b_fired = false;
+  const EventId b = s.ScheduleAt(2.0, [&] { b_fired = true; });
+  if (GetParam() == QueueKind::kCalendar) {
+    ASSERT_EQ(b.slot, a.slot);
+  }
+  EXPECT_FALSE(s.IsPending(a));
+  EXPECT_FALSE(s.Cancel(a));
+  EXPECT_TRUE(s.IsPending(b));
+  s.Run();
+  EXPECT_TRUE(b_fired);
+}
+
+TEST_P(SimulatorHandles, CancelledHandleMissesTheEventThatReusedItsSlot) {
+  Simulator s(GetParam());
+  const EventId a = s.ScheduleAt(1.0, [] {});
+  ASSERT_TRUE(s.Cancel(a));
+  bool b_fired = false;
+  const EventId b = s.ScheduleAt(1.0, [&] { b_fired = true; });
+  if (GetParam() == QueueKind::kCalendar) {
+    ASSERT_EQ(b.slot, a.slot);
+  }
+  EXPECT_FALSE(s.IsPending(a));
+  EXPECT_FALSE(s.Cancel(a));
+  s.Run();
+  EXPECT_TRUE(b_fired);
+}
+
+TEST_P(SimulatorHandles, CancelFromTheEventsOwnCallbackIsANoOp) {
+  Simulator s(GetParam());
+  EventId self;
+  EventId rearm;
+  bool pending_inside = true;
+  bool cancelled_inside = true;
+  int rearm_fired = 0;
+  self = s.ScheduleAt(1.0, [&] {
+    // Re-arm first, so in calendar mode the new event takes this event's
+    // freed slot before the stale self-cancel runs.
+    rearm = s.ScheduleAfter(4.0, [&] { ++rearm_fired; });
+    pending_inside = s.IsPending(self);
+    cancelled_inside = s.Cancel(self);
+  });
+  s.Run();
+  if (GetParam() == QueueKind::kCalendar) {
+    EXPECT_EQ(rearm.slot, self.slot);
+  }
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancelled_inside);
+  EXPECT_EQ(rearm_fired, 1);
+  EXPECT_EQ(s.now(), 5.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothQueues, SimulatorHandles,
+    ::testing::Values(QueueKind::kCalendar, QueueKind::kBinaryHeap),
+    [](const ::testing::TestParamInfo<QueueKind>& p) {
+      return p.param == QueueKind::kCalendar ? "Calendar" : "Heap";
+    });
+
+// One simulator driven by a seeded op stream; records every value the
+// handle API returns and every dispatched (time, id).
+struct HandleDriver {
+  explicit HandleDriver(QueueKind kind) : sim(kind), rng(7) {
+    sim.SetTraceObserver(
+        [this](Time t, std::uint64_t id) { fired.emplace_back(t, id); });
+  }
+  void Schedule(Time t) {
+    const EventId id = sim.ScheduleAt(t, [this] { OnFire(); });
+    handles.push_back(id);
+    results.push_back(id.value);
+  }
+  // Every other event behaves like a heartbeat monitor: it cancels some
+  // (often stale) handle and re-arms 4 s out.
+  void OnFire() {
+    if (rng() % 2 == 0) return;
+    results.push_back(sim.Cancel(handles[rng() % handles.size()]));
+    Schedule(sim.now() + 4.0);
+  }
+  EventId Pick(std::uint64_t arg) const {
+    return arg % 50 == 0 ? kInvalidEventId : handles[arg % handles.size()];
+  }
+
+  Simulator sim;
+  std::mt19937_64 rng;
+  std::vector<EventId> handles;
+  std::vector<std::pair<Time, std::uint64_t>> fired;
+  std::vector<std::uint64_t> results;
+};
+
+TEST(SimulatorQueueKinds, CalendarAndHeapAgreeHandleByHandle) {
+  HandleDriver cal(QueueKind::kCalendar);
+  HandleDriver heap(QueueKind::kBinaryHeap);
+  std::mt19937_64 ops(2006);
+  for (HandleDriver* d : {&cal, &heap}) d->Schedule(1.0);
+  for (int op = 0; op < 10000; ++op) {
+    const std::uint64_t kind = ops() % 100;
+    const std::uint64_t arg = ops();
+    for (HandleDriver* d : {&cal, &heap}) {
+      // Quarter-second grid: many events share a time.
+      if (kind < 45) {
+        d->Schedule(d->sim.now() + 0.25 * static_cast<double>(arg % 17));
+      } else if (kind < 65) {
+        d->results.push_back(d->sim.Cancel(d->Pick(arg)));
+      } else if (kind < 80) {
+        d->results.push_back(d->sim.IsPending(d->Pick(arg)));
+      } else {
+        d->sim.RunUntil(d->sim.now() + 0.25 * static_cast<double>(arg % 9));
+        d->results.push_back(d->sim.pending_count());
+      }
+    }
+    ASSERT_EQ(cal.handles.size(), heap.handles.size()) << "after op " << op;
+  }
+  for (HandleDriver* d : {&cal, &heap}) d->sim.Run();
+  EXPECT_EQ(cal.results, heap.results);
+  EXPECT_EQ(cal.fired, heap.fired);
+  EXPECT_GT(cal.fired.size(), 2000u);  // the mix really dispatched
 }
 
 TEST(SimulatorDeath, SchedulingInThePastAborts) {

@@ -74,11 +74,37 @@ TEST(FlagSet, IntListSingleAndEmptyTokens) {
 }
 
 TEST(FlagSet, RejectsFollowingFlagAsValue) {
-  // `--profile --threads=1` must not silently set profile="--threads=1".
+  // `--out --threads=1` must not silently set out="--threads=1".
   FlagSet f;
-  f.Define("profile", "false", "").Define("threads", "0", "");
-  const char* argv[] = {"prog", "--profile", "--threads=1"};
+  f.Define("out", "results", "").Define("threads", "0", "");
+  const char* argv[] = {"prog", "--out", "--threads=1"};
   EXPECT_FALSE(f.Parse(3, const_cast<char**>(argv)));
+}
+
+TEST(FlagSet, BareBooleanFlagSetsTrue) {
+  FlagSet f;
+  f.Define("profile", "false", "").Define("quick", "off", "");
+  f.Define("threads", "0", "");
+  // Before another flag, and last in argv.
+  const char* argv[] = {"prog", "--profile", "--threads=1", "--quick"};
+  ASSERT_TRUE(f.Parse(4, const_cast<char**>(argv)));
+  EXPECT_TRUE(f.GetBool("profile"));
+  EXPECT_TRUE(f.GetBool("quick"));
+  EXPECT_EQ(f.GetInt("threads"), 1);
+}
+
+TEST(FlagSet, BareFlagWithNonBooleanDefaultNeedsAValue) {
+  // "0"/"1" defaults may be counts, so only word booleans act as switches.
+  for (const char* def : {"0", "1", "", "results"}) {
+    FlagSet last;
+    last.Define("x", def, "");
+    const char* argv_last[] = {"prog", "--x"};
+    EXPECT_FALSE(last.Parse(2, const_cast<char**>(argv_last))) << def;
+    FlagSet before;
+    before.Define("x", def, "").Define("y", "2", "");
+    const char* argv_before[] = {"prog", "--x", "--y=3"};
+    EXPECT_FALSE(before.Parse(3, const_cast<char**>(argv_before))) << def;
+  }
 }
 
 TEST(FlagSet, SpaceFormTakesNegativeNumbers) {
